@@ -39,7 +39,6 @@ from .umbra import (
 from .wishart import (
     WishartParams,
     central_cumulant,
-    closed_form_general,
     expected_esf_closed_form,
     expected_esf_umbral,
     mean_cumulant,
@@ -88,7 +87,6 @@ __all__ = [
     "unities",
     "WishartParams",
     "central_cumulant",
-    "closed_form_general",
     "expected_esf_closed_form",
     "expected_esf_umbral",
     "mean_cumulant",

@@ -157,6 +157,8 @@ def _method_value(method: str, params, i: int, args) -> dict:
         elif method == "wick":
             value = oracles.wick_expected_esf(params, i)
         elif method == "mc":
+            if args.samples < 2:
+                raise UsageError("--samples must be at least 2")
             est = oracles.mc_expected_esf(params, i, args.samples, args.seed)
             entry["stderr"] = est.stderr
             entry["samples"] = est.samples

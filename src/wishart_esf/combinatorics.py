@@ -178,7 +178,8 @@ def elementary_symmetric(y: Sequence, i: int):
     return total
 
 
-def _divide_by_factorial(value, i: int):
+def divide_by_factorial(value, i: int):
+    """``value / i!``, exact (a ``Fraction``) for int and ``Fraction`` values."""
     fact = math.factorial(i)
     if isinstance(value, (int, Fraction)):
         return Fraction(value, fact)
@@ -193,7 +194,7 @@ def elementary_symmetric_from_power_sums(sums: Sequence, i: int):
     if len(sums) < i:
         raise ValueError("need power sums up to order i")
     args = [(-1) ** (k - 1) * math.factorial(k - 1) * sums[k - 1] for k in range(1, i + 1)]
-    return _divide_by_factorial(complete_bell(args), i)
+    return divide_by_factorial(complete_bell(args), i)
 
 
 def elementary_symmetric_via_bell(y: Sequence, i: int):
@@ -225,7 +226,7 @@ def elementary_symmetric_via_cycle_classes(y: Sequence, i: int):
     for partition in enumerate_partitions(i):
         sign = (-1) ** (i - partition.length)
         total = total + sign * cycle_class_size(partition) * diagonal_joint_moment(y, partition)
-    return _divide_by_factorial(total, i)
+    return divide_by_factorial(total, i)
 
 
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
@@ -242,6 +243,11 @@ def _cycle_lengths(perm: Sequence[int]) -> list[int]:
             size += 1
         lengths.append(size)
     return lengths
+
+
+def permutation_sign(perm: Sequence[int]) -> int:
+    """+1 for an even permutation of ``0..len(perm)-1``, -1 for an odd one."""
+    return -1 if (len(perm) - len(_cycle_lengths(perm))) % 2 else 1
 
 
 def elementary_symmetric_via_permutations(y: Sequence, i: int):
@@ -261,7 +267,7 @@ def elementary_symmetric_via_permutations(y: Sequence, i: int):
         for size in lengths:
             term = term * power_sum(y, size)
         total = total + (-1) ** (i - len(lengths)) * term
-    return _divide_by_factorial(total, i)
+    return divide_by_factorial(total, i)
 
 
 def perfect_matchings(m: int) -> list[tuple[tuple[int, int], ...]]:

@@ -1,10 +1,11 @@
 """Scalar matrix helpers.
 
 Exact paths work on tuples of tuples holding ints / ``Fraction``s and never
-touch an eigensolver; elementary symmetric functions of latent roots are
-always principal-minor sums here.  Float-only factorizations (SVD, symmetric
-inverse square root, Cholesky) are thin numpy wrappers that return plain
-Python floats and check orthogonality of the computed factors.
+touch an eigensolver; elementary symmetric functions of latent roots come
+from one division-free characteristic polynomial, :func:`charpoly`.
+Float-only factorizations (SVD, symmetric inverse square root, Cholesky) are
+thin numpy wrappers that return plain Python floats and check orthogonality
+of the computed factors.
 """
 
 from __future__ import annotations
@@ -63,11 +64,12 @@ def submatrix(a: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]) -
 
 def det(a: Sequence[Sequence]):
     """Determinant by Gaussian elimination with largest-pivot selection;
-    exact for rational entries, ordinary floating arithmetic otherwise."""
+    exact for rational entries (ints are eliminated as ``Fraction``s),
+    ordinary floating arithmetic otherwise."""
     n = len(a)
     if n != len(a[0]):
         raise ValueError("determinant needs a square matrix")
-    work = [list(row) for row in a]
+    work = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
     result = 1
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))
@@ -91,7 +93,8 @@ def inverse(a: Sequence[Sequence]) -> tuple:
     n = len(a)
     if n != len(a[0]):
         raise ValueError("inverse needs a square matrix")
-    work = [list(row) + [1 if r == c else 0 for c in range(n)] for r, row in enumerate(a)]
+    work = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in a]
+    work = [row + [1 if r == c else 0 for c in range(n)] for r, row in enumerate(work)]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))
         if work[pivot_row][col] == 0:
@@ -110,10 +113,35 @@ def inverse(a: Sequence[Sequence]) -> tuple:
     return tuple(tuple(row[n:]) for row in work)
 
 
+def charpoly(a: Sequence[Sequence]) -> list:
+    """``[e_0, ..., e_p]``: the elementary symmetric functions of the latent
+    roots of a square matrix, the coefficients of ``det(t I + A)``.
+
+    Berkowitz's division-free recurrence (IPL 18 (1984) 147-150) grows the
+    characteristic polynomial one leading block at a time, using ring
+    operations only: integer entries give integers, ``Fraction``s stay exact.
+    """
+    p = len(a)
+    if p != len(a[0]):
+        raise ValueError("characteristic polynomial needs a square matrix")
+    coeffs = [1]  # det(t I - A_r) of the leading r x r block, leading term first
+    for r in range(p):
+        # first column of the Toeplitz factor, R and S the new row and column:
+        # 1, -a_rr, -R S, -R A_r S, ...
+        col = [1, -a[r][r]]
+        v = [a[k][r] for k in range(r)]
+        for _ in range(r):
+            col.append(-sum(x * y for x, y in zip(a[r], v)))
+            v = [sum(x * y for x, y in zip(a[k], v)) for k in range(r)]
+        coeffs = [sum(col[j - k] * c for k, c in enumerate(coeffs[: j + 1])) for j in range(r + 2)]
+    return [-c if k % 2 else c for k, c in enumerate(coeffs)]
+
+
 def principal_minor_sum(a: Sequence[Sequence], i: int):
     """Sum of all i-by-i principal minors, i.e. the i-th elementary symmetric
     function of the latent roots; 1 for ``i = 0``, 0 for ``i`` above the
-    dimension.  No eigensolver involved."""
+    dimension.  Enumerates every subset: a reference for :func:`charpoly`
+    in the tests, not a production path."""
     n = len(a)
     if i < 0:
         raise ValueError("order must be nonnegative")
@@ -209,18 +237,15 @@ def rational_eigenvalues(a: Sequence[Sequence]) -> list[Fraction] | None:
     """All eigenvalues as exact rationals if the characteristic polynomial
     splits over the rationals, else ``None``.
 
-    Coefficients come from principal-minor sums; candidate roots from the
+    Coefficients come from :func:`charpoly`; candidate roots from the
     rational root theorem with deflation.
     """
     if not is_rational_matrix(a):
         return None
     p = len(a)
     # char(t) = sum_i (-1)^i e_i t^(p-i), leading coefficient 1
-    coeffs = [Fraction((-1) ** i) * principal_minor_sum(a, i) for i in range(p + 1)]
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * Fraction(c).denominator // math.gcd(denom_lcm, Fraction(c).denominator)
-    ints = [int(c * denom_lcm) for c in coeffs]  # ints[0] multiplies t^p
+    coeffs = [Fraction((-1) ** i * e) for i, e in enumerate(charpoly(a))]
+    scale = math.lcm(*(c.denominator for c in coeffs))
 
     def poly_value(cs: list[Fraction], x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -234,7 +259,7 @@ def rational_eigenvalues(a: Sequence[Sequence]) -> list[Fraction] | None:
             out.append(c + out[-1] * root)
         return out
 
-    current = [Fraction(c) for c in ints]
+    current = [c * scale for c in coeffs]  # integral; current[0] multiplies t^p
     roots: list[Fraction] = []
     while len(current) > 1:
         while current[-1] == 0:

@@ -8,7 +8,8 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .umbra import Indeterminate, Umbra, UmbralPolynomial, indeterminates
+from .combinatorics import permutation_sign
+from .umbra import Umbra, UmbralPolynomial
 
 __all__ = ["UmbralMatrix", "kron", "hadamard", "vec", "vec_inverse"]
 
@@ -66,11 +67,6 @@ class UmbralMatrix:
         for i, v in enumerate(values):
             data[i][i] = v
         return cls.from_rows(data)
-
-    @classmethod
-    def diag_indeterminates(cls, prefix: str, count: int) -> tuple["UmbralMatrix", list[Indeterminate]]:
-        syms = indeterminates(prefix, count)
-        return cls.diag(syms), syms
 
     @classmethod
     def diag_umbrae(cls, umbrae: Sequence[Umbra]) -> "UmbralMatrix":
@@ -186,7 +182,7 @@ class UmbralMatrix:
             term = UmbralPolynomial.one()
             for r, c in enumerate(perm):
                 term = term.mul(self.get(r, c))
-            acc = acc + term.scale(_parity(perm))
+            acc = acc + term.scale(permutation_sign(perm))
         return acc
 
     def evaluated(self) -> "UmbralMatrix":
@@ -205,13 +201,6 @@ class UmbralMatrix:
         return "\n".join(lines)
 
     __repr__ = __str__
-
-
-def _parity(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
 
 
 def kron(a: UmbralMatrix, b: UmbralMatrix) -> UmbralMatrix:

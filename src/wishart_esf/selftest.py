@@ -130,13 +130,13 @@ def _check_first_cumulant_shape() -> str:
     return "first cumulant matches its printed polynomial form"
 
 
-def _check_general_form_vs_pairings() -> str:
+def _check_closed_form_vs_pairings() -> str:
     sigma = ((Fraction(1), 0), (0, Fraction(2)))
     m = ((Fraction(1, 2), Fraction(1)), (Fraction(-1), Fraction(1, 3)))
     params = wishart.WishartParams(2, 2, sigma, m)
     for i in (1, 2):
-        assert wishart.closed_form_general(params, i) == oracles.wick_expected_esf(params, i)
-    return "general closed form matches the exact pairing expansion"
+        assert wishart.expected_esf_closed_form(params, i) == oracles.wick_expected_esf(params, i)
+    return "closed form matches the exact pairing expansion"
 
 
 def _check_quadratic_form_cumulants() -> str:
@@ -196,7 +196,7 @@ _CHECKS = [
     ("routes-noncentral", _check_routes_noncentral),
     ("cross-term-identity", _check_cross_term_identity),
     ("first-cumulant-shape", _check_first_cumulant_shape),
-    ("general-form-vs-pairings", _check_general_form_vs_pairings),
+    ("closed-form-vs-pairings", _check_closed_form_vs_pairings),
     ("quadratic-form-cumulants", _check_quadratic_form_cumulants),
     ("special-umbrae", _check_special_umbrae),
     ("matrix-identities", _check_matrix_identities),

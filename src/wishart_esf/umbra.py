@@ -22,7 +22,7 @@ import threading
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .combinatorics import falling_factorial
+from .combinatorics import divide_by_factorial, falling_factorial
 
 __all__ = [
     "Umbra",
@@ -525,12 +525,6 @@ def evaluate_scalar(x) -> Scalar:
     return evaluate(x).as_scalar()
 
 
-def _divide_exact(value, divisor: int):
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value, divisor) if divisor != 1 else value
-    return value / divisor
-
-
 def gf_coefficients(source, order: int) -> list:
     """Truncated exponential generating sequence ``[m_0/0!, ..., m_K/K!]`` of
     an umbra or polynomial, where ``m_k`` is the evaluation of the k-th power.
@@ -547,11 +541,10 @@ def gf_coefficients(source, order: int) -> list:
         if k:
             power = power.mul(p)
         val = evaluate(power)
-        fact = math.factorial(k)
         try:
-            out.append(_divide_exact(val.as_scalar(), fact))
+            out.append(divide_by_factorial(val.as_scalar(), k))
         except ValueError:
-            out.append(val.scale(Fraction(1, fact)))
+            out.append(val.scale(Fraction(1, math.factorial(k))))
     return out
 
 

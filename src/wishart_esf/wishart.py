@@ -5,13 +5,15 @@ The symbolic route builds the cumulant sequence of the weighted squared trace
 ``tr[(D_y X D_x)(D_y X D_x)^T]``, assembles its moments through complete Bell
 polynomials, plugs 1,0,1,0,... umbrae into the weights, and lets the
 evaluation functional delete every monomial that does not contribute to an
-elementary symmetric function.  The closed-form route sums falling-factorial
-weighted principal minors.  The two agree exactly in rational regimes and to
-float precision where an SVD is unavoidable.
+elementary symmetric function.  The closed-form route is one identity,
+``E[e_i(W)] = sum_k (n-k)_(i-k) [t^k] e_i(Sigma + t M M^T)``, evaluated with
+the division-free characteristic polynomial.  The two agree exactly in
+rational regimes and to float precision where an SVD is unavoidable.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -21,6 +23,7 @@ from typing import Sequence
 from . import linalg
 from .combinatorics import (
     complete_bell,
+    divide_by_factorial,
     elementary_symmetric,
     elementary_symmetric_from_power_sums,
     falling_factorial,
@@ -43,7 +46,6 @@ __all__ = [
     "trace_moment",
     "expected_esf_umbral",
     "expected_esf_closed_form",
-    "closed_form_general",
     "noncentral_chisq_cumulant",
     "singleton_cross_term_identity",
 ]
@@ -90,6 +92,8 @@ class WishartParams:
     def _validate(self) -> None:
         if self.p < 1 or self.n < self.p:
             raise ValueError("need n >= p >= 1")
+        if not all(math.isfinite(x) for row in self.sigma + (self.m or ()) for x in row):
+            raise ValueError("covariance and mean entries must be finite")
         if linalg.shape(self.sigma) != (self.p, self.p):
             raise ValueError("covariance must be p x p")
         tol = 0.0 if self.mode == "rational" else SYMMETRY_TOL
@@ -106,10 +110,7 @@ class WishartParams:
     def mode(self) -> str:
         if self.symbolic_mode:
             return "symbolic"
-        entries = [x for row in self.sigma for x in row]
-        if self.m is not None:
-            entries += [x for row in self.m for x in row]
-        return "rational" if all(isinstance(x, (int, Fraction)) for x in entries) else "float"
+        return "rational" if linalg.is_rational_matrix(self.sigma + (self.m or ())) else "float"
 
     @property
     def mean_is_zero(self) -> bool:
@@ -314,6 +315,30 @@ def trace_moment(params: WishartParams, i: int) -> UmbralPolynomial:
 # -- the symbolic route to expected elementary symmetric functions -----------
 
 
+def guard_order(route):
+    """Shared entry of the routes to ``E[e_i(W)]``.
+
+    Rejects symbolic parameter sets and negative orders, answers ``i = 0``
+    (one) and ``i > p`` (zero) without calling the route, and returns a value
+    whose type follows ``params.mode``: a float in float mode, a ``Fraction``
+    in rational mode unless the route had to rotate through a float
+    factorization.
+    """
+
+    @functools.wraps(route)
+    def guarded(params: WishartParams, i: int):
+        if params.symbolic_mode:
+            raise ValueError("symbolic parameter sets cannot be evaluated numerically")
+        if i < 0:
+            raise ValueError("order must be nonnegative")
+        value = route(params, i) if 1 <= i <= params.p else int(i == 0)
+        if params.mode == "float" or isinstance(value, float):
+            return float(value)
+        return Fraction(value)
+
+    return guarded
+
+
 def _delta_core(
     n: int,
     p: int,
@@ -335,13 +360,6 @@ def _delta_core(
     ]
     value = evaluate(complete_bell(cumulants))
     return value
-
-
-def _div_factorial(value, i: int):
-    fact = math.factorial(i)
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value, fact)
-    return value / fact
 
 
 def _extract_esf_multiple(value: UmbralPolynomial, theta_ids: list[int], p: int, i: int):
@@ -375,8 +393,8 @@ def _umbral_central(params: WishartParams, i: int):
         coeff = _extract_esf_multiple(value, ids, params.p, i)
         sums = linalg.power_sums(params.sigma, i)
         esf_value = elementary_symmetric_from_power_sums(sums, i)
-        return _div_factorial(coeff * esf_value, i)
-    return _div_factorial(value.as_scalar(), i)
+        return divide_by_factorial(coeff * esf_value, i)
+    return divide_by_factorial(value.as_scalar(), i)
 
 
 def _scaled_identity_core(n: int, p: int, s2, mvals: Sequence, i: int):
@@ -386,7 +404,7 @@ def _scaled_identity_core(n: int, p: int, s2, mvals: Sequence, i: int):
         for r in range(p)
     )
     value = _delta_core(n, p, [s2] * p, m, sigma, i)
-    return _div_factorial(value.as_scalar(), i)
+    return divide_by_factorial(value.as_scalar(), i)
 
 
 def _umbral_scaled_identity(params: WishartParams, i: int, s2):
@@ -415,6 +433,7 @@ def _umbral_minor_sum(params: WishartParams, i: int):
     return total
 
 
+@guard_order
 def expected_esf_umbral(params: WishartParams, i: int):
     """Expected i-th elementary symmetric function of the latent roots of
     ``W = X X^T``, via the symbolic kernel.
@@ -424,15 +443,6 @@ def expected_esf_umbral(params: WishartParams, i: int):
     covariance, and scalar-identity covariance with a rectangular-diagonal
     mean.  Other regimes rotate through float SVDs.
     """
-    if params.symbolic_mode:
-        raise ValueError("symbolic parameter sets cannot be evaluated numerically")
-    if i < 0:
-        raise ValueError("order must be nonnegative")
-    rational = params.mode == "rational"
-    if i == 0:
-        return Fraction(1) if rational else 1.0
-    if i > params.p:
-        return Fraction(0) if rational else 0.0
     if params.mean_is_zero:
         return _umbral_central(params, i)
     s2 = params.sigma_scalar
@@ -446,69 +456,50 @@ def expected_esf_umbral(params: WishartParams, i: int):
 # -- closed forms -------------------------------------------------------------
 
 
-def closed_form_general(params: WishartParams, i: int):
-    """Principal-submatrix closed form, valid for any admissible parameters.
+def _integer_polynomial(values: list[int]) -> list[int]:
+    """Coefficients, lowest degree first, of the integer polynomial of degree
+    below ``len(values)`` that takes ``values[t]`` at ``t = 0, 1, ...``.
 
-    The inner elementary symmetric order is bound to the outer
-    falling-factorial index; the pairing is pinned down by the exact
-    pairing-expansion oracle in the test suite.
+    Newton's forward differences: ``f(t) = sum_j D^j f(0) (t)_j / j!``, and
+    ``j!`` divides ``D^j f(0)`` when ``f`` has integer coefficients.
     """
-    n, p = params.n, params.p
-    total = falling_factorial(n, i) * linalg.principal_minor_sum(params.sigma, i)
-    if params.mean_is_zero:
-        return total
-    mmt = linalg.mat_mul(params.m, linalg.transpose(params.m))
-    for k in range(1, i + 1):
-        weight = falling_factorial(n - k, i - k)
-        if weight == 0:
-            continue
-        inner = 0
-        for subset in itertools.combinations(range(p), i):
-            sub_sigma = linalg.submatrix(params.sigma, subset, subset)
-            sub_mmt = linalg.submatrix(mmt, subset, subset)
-            ratio = linalg.mat_mul(linalg.inverse(sub_sigma), sub_mmt)
-            inner = inner + linalg.det(sub_sigma) * linalg.principal_minor_sum(ratio, k)
-        total = total + weight * inner
-    return total
+    coeffs = [0] * len(values)
+    basis = [1]  # the falling factorial (t)_j, lowest degree first
+    for j in range(len(values)):
+        step = values[0] // math.factorial(j)
+        for k, b in enumerate(basis):
+            coeffs[k] += step * b
+        values = [b - a for a, b in zip(values, values[1:])]
+        basis = [x - j * y for x, y in zip([0] + basis, basis + [0])]
+    return coeffs
 
 
+@guard_order
 def expected_esf_closed_form(params: WishartParams, i: int):
     """Expected i-th elementary symmetric function of the latent roots via
-    closed forms: dedicated formulas for zero mean, scalar-identity
-    covariance, and full order, with the general principal-submatrix sum
-    otherwise.  Exact in rational mode."""
-    if params.symbolic_mode:
-        raise ValueError("symbolic parameter sets cannot be evaluated numerically")
-    if i < 0:
-        raise ValueError("order must be nonnegative")
-    rational = params.mode == "rational"
-    if i == 0:
-        return Fraction(1) if rational else 1.0
-    if i > params.p:
-        return Fraction(0) if rational else 0.0
-    n, p = params.n, params.p
-    if params.mean_is_zero:
-        return falling_factorial(n, i) * linalg.principal_minor_sum(params.sigma, i)
-    s2 = params.sigma_scalar
-    if s2 is not None:
-        mmt = linalg.mat_mul(params.m, linalg.transpose(params.m))
-        total = 0
-        for j in range(i + 1):
-            term = (
-                falling_factorial(n - j, i - j)
-                * math.comb(p - j, i - j)
-                * s2 ** (i - j)
-                * linalg.principal_minor_sum(mmt, j)
-            )
-            total = total + term
-        return total
-    if i == p:
-        omega = params.omega()
-        total = 0
-        for j in range(p + 1):
-            total = total + falling_factorial(n - j, p - j) * linalg.principal_minor_sum(omega, j)
-        return linalg.det(params.sigma) * total
-    return closed_form_general(params, i)
+    ``E[e_i(W)] = sum_k (n-k)_(i-k) [t^k] e_i(Sigma + t M M^T)``, one path
+    for every regime.
+
+    Denominators are cleared once (``Fraction`` is exact for floats too):
+    with ``s`` the common denominator of ``Sigma`` and ``M M^T``,
+    ``e_i(s Sigma + t s M M^T)`` is an integer polynomial of degree at most
+    ``i`` in ``t``, recovered exactly from :func:`linalg.charpoly` at
+    ``t = 0..i``.  The value is exact, and in float mode it is the correctly
+    rounded value for the float inputs.
+    """
+    n = params.n
+    m = [[Fraction(x) for x in row] for row in params.m or ((0,) * n,) * params.p]
+    mmt = linalg.mat_mul(m, linalg.transpose(m))
+    sigma = [[Fraction(x) for x in row] for row in params.sigma]
+    s = math.lcm(*(x.denominator for a in (sigma, mmt) for row in a for x in row))
+    values = [
+        linalg.charpoly(
+            [[int(s * (x + t * y)) for x, y in zip(r1, r2)] for r1, r2 in zip(sigma, mmt)]
+        )[i]
+        for t in range(i + 1)
+    ]
+    coeffs = _integer_polynomial(values)
+    return Fraction(sum(falling_factorial(n - k, i - k) * c for k, c in enumerate(coeffs)), s**i)
 
 
 # -- scalar quadratic form cumulants ------------------------------------------

@@ -32,7 +32,6 @@ from wishart_esf.oracles import mc_expected_esf, wick_expected_esf, wick_trace_m
 from wishart_esf.umbra import UmbralPolynomial, evaluate, gaussian
 from wishart_esf.wishart import (
     WishartParams,
-    closed_form_general,
     expected_esf_closed_form,
     expected_esf_umbral,
     noncentral_chisq_cumulant,
@@ -160,7 +159,7 @@ def test_c05_general_form_vs_pairings_index_binding():
                 m = rational_matrix(rng, p, n, span=2, max_den=2)
                 params = WishartParams(n, p, sigma, m)
                 for i in range(1, min(p, 2) + 1):
-                    assert closed_form_general(params, i) == wick_expected_esf(params, i), (
+                    assert expected_esf_closed_form(params, i) == wick_expected_esf(params, i), (
                         p,
                         n,
                         i,
@@ -168,7 +167,7 @@ def test_c05_general_form_vs_pairings_index_binding():
                     checked += 1
     _report(
         "c05",
-        f"general closed form equals the pairing expansion on {checked} instances "
+        f"closed form equals the pairing expansion on {checked} instances "
         "(inner elementary symmetric order bound to the outer index)",
     )
 

@@ -140,6 +140,23 @@ class TestCompute:
         assert result.returncode == EXIT_USAGE
         assert result.stdout == ""
 
+    def test_non_finite_cell_exits_one(self, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("1.0,nan\nnan,2.0\n")
+        result = run_cli(
+            ["compute", "--mode", "float", "--n", "3", "--p", "2", "--sigma", str(bad), "--i", "2"]
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+
+    def test_single_sample_is_usage_error(self, identity2):
+        result = run_cli(
+            ["compute", "--method", "mc", "--samples", "1"]
+            + ["--n", "3", "--p", "2", "--sigma", identity2, "--i", "1"]
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+
     def test_no_partial_output_file_on_error(self, tmp_path):
         out = tmp_path / "report.json"
         result = run_cli(

@@ -1,11 +1,14 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wishart_esf import linalg
 from wishart_esf.combinatorics import perfect_matchings
 from wishart_esf.oracles import (
     Estimate,
+    _batched_esf,
     _partial_pairing_expectation,
     mc_expected_esf,
     mc_trace_moment,
@@ -173,6 +176,20 @@ class TestMonteCarlo:
         est = mc_expected_esf(params, 1, samples=70_000, seed=9)
         est2 = mc_expected_esf(params, 1, samples=70_000, seed=9)
         assert est == est2
+
+    def test_batched_charpoly_matches_subset_determinants(self):
+        # one fixed batch at p=6 that crosses a row-block boundary: e_i from
+        # the batched characteristic polynomial against i x i principal minors
+        x = np.random.default_rng(606).standard_normal((5000, 6, 8)) + 0.5
+        w = np.matmul(x, np.transpose(x, (0, 2, 1)))
+        for i in range(1, 7):
+            want = np.zeros(len(w))
+            for subset in itertools.combinations(range(6), i):
+                idx = np.array(subset)
+                want += np.linalg.det(w[:, idx[:, None], idx[None, :]])
+            got = _batched_esf(w, i)
+            for stat in (np.mean, lambda v: np.std(v, ddof=1) / np.sqrt(len(v))):
+                assert abs(stat(got) - stat(want)) <= 1e-10 * abs(stat(want)), i
 
     def test_trace_moment_estimator_matches_first_cumulant(self):
         sigma = ((Fraction(1), 0), (0, Fraction(2)))

@@ -3,6 +3,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wishart_esf import linalg
 from wishart_esf.combinatorics import (
@@ -17,7 +19,6 @@ from wishart_esf.umbra import UmbralPolynomial, deltas, evaluate, gaussian, gf_c
 from wishart_esf.wishart import (
     WishartParams,
     central_cumulant,
-    closed_form_general,
     expected_esf_closed_form,
     expected_esf_umbral,
     mean_cumulant,
@@ -53,6 +54,12 @@ class TestParams:
     def test_mode_detection(self):
         assert WishartParams(3, 2, linalg.identity(2)).mode == "rational"
         assert WishartParams(3, 2, ((1.0, 0.0), (0.0, 1.0))).mode == "float"
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            WishartParams(3, 2, ((1.0, float("nan")), (float("nan"), 2.0)))
+        with pytest.raises(ValueError, match="finite"):
+            WishartParams(3, 2, ((1.0, 0.0), (0.0, 1.0)), ((float("inf"), 0, 0), (0, 1, 0)))
 
     def test_mean_shape_checked(self):
         with pytest.raises(ValueError):
@@ -274,12 +281,12 @@ class TestClosedForm:
             for i in (1, 2):
                 assert expected_esf_closed_form(params, i) == wick_expected_esf(params, i)
 
-    def test_full_order_branch_equals_general_form(self, rng):
+    def test_full_order_against_pairings(self, rng):
         for _ in range(4):
             sigma = rational_full_spd(rng, 2)
             m = rational_matrix(rng, 2, 3, span=2, max_den=2)
             params = WishartParams(3, 2, sigma, m)
-            assert expected_esf_closed_form(params, 2) == closed_form_general(params, 2)
+            assert expected_esf_closed_form(params, 2) == wick_expected_esf(params, 2)
 
     def test_general_form_index_binding_vs_pairings(self, rng):
         # the inner elementary symmetric order follows the outer
@@ -291,10 +298,63 @@ class TestClosedForm:
             m = rational_matrix(rng, p, n, span=2, max_den=2)
             params = WishartParams(n, p, sigma, m)
             for i in range(1, p + 1):
-                assert closed_form_general(params, i) == wick_expected_esf(params, i)
+                assert expected_esf_closed_form(params, i) == wick_expected_esf(params, i)
+
+
+@st.composite
+def exact_umbral_instances(draw):
+    """Rational parameters in the regimes where the kernel route is exact:
+    central with a dense covariance, or scalar-identity covariance with a
+    rectangular-diagonal mean."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(p, p + 2))
+    entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    if draw(st.booleans()):
+        low = [[draw(entries) for _ in range(p)] for _ in range(p)]
+        sigma = tuple(
+            tuple(sum(low[k][r] * low[k][c] for k in range(p)) + (r == c) for c in range(p))
+            for r in range(p)
+        )
+        return WishartParams(n, p, sigma)
+    s2 = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+    sigma = tuple(tuple(s2 if r == c else Fraction(0) for c in range(p)) for r in range(p))
+    m = rect_diag_matrix([draw(entries) for _ in range(p)], p, n)
+    return WishartParams(n, p, sigma, m)
 
 
 class TestRouteAgreement:
+    @given(exact_umbral_instances())
+    @settings(max_examples=25, deadline=None)
+    def test_closed_form_equals_umbral_exactly(self, params):
+        for i in range(1, params.p + 1):
+            closed = expected_esf_closed_form(params, i)
+            assert isinstance(closed, Fraction)
+            assert expected_esf_umbral(params, i) == closed
+
+    def test_integer_covariance_stays_exact(self):
+        sigma = (
+            (4, 0, 0, 2, -1),
+            (0, 7, -1, 3, -1),
+            (0, -1, 5, -1, 0),
+            (2, 3, -1, 7, -3),
+            (-1, -1, 0, -3, 5),
+        )
+        params = WishartParams(6, 5, sigma)
+        closed = expected_esf_closed_form(params, 5)
+        assert closed == 1667520 and isinstance(closed, Fraction)
+        assert expected_esf_umbral(params, 5) == closed
+
+    def test_value_type_follows_mode(self):
+        # unit float entries keep the kernel's coefficients integer inside the route
+        floats = WishartParams(3, 2, ((1.0, 0.0), (0.0, 1.0)))
+        exact = WishartParams(3, 2, linalg.identity(2))
+        for route in (expected_esf_umbral, expected_esf_closed_form, wick_expected_esf):
+            for i, want in ((0, 1), (1, 6), (2, 6), (3, 0)):
+                value = route(floats, i)
+                assert type(value) is float and value == want, (route.__name__, i)
+                value = route(exact, i)
+                assert type(value) is Fraction and value == want, (route.__name__, i)
+
     def test_rational_regimes_agree_exactly(self, rng):
         for _ in range(5):
             p = rng.randint(1, 3)
