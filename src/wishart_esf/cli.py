@@ -14,7 +14,9 @@ error, 2 numerical or invariant failure, 3 statistical tolerance failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -198,11 +200,23 @@ def _emit(args, payload: dict, csv_rows: list[list] | None = None) -> None:
         lines = [",".join(str(c) for c in row) for row in csv_rows or []]
         text = "\n".join(lines)
     out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
+    if not out_path:
         print(text)
+        return
+    # A temporary file beside the target, renamed over it, so that a reader
+    # never sees a partial report.
+    tmp_path = f"{out_path}.{os.getpid()}.tmp"
+    created = False
+    try:
+        with open(tmp_path, "x", encoding="utf-8") as fh:
+            created = True
+            fh.write(text + "\n")
+        os.replace(tmp_path, out_path)
+    except OSError as exc:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(tmp_path)
+        raise UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
 # -- subcommands -------------------------------------------------------------------

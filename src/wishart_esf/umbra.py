@@ -8,9 +8,13 @@ while repeated factors of the *same* umbra accumulate exponent first and only
 then hit the moment sequence.  :class:`Indeterminate`s are ordinary commuting
 variables that evaluation passes through untouched.
 
-The performance lever of the whole package sits here: umbra kinds with a
-finite nonzero-moment range (``max_power``) let multiplication drop doomed
-monomials eagerly, because exponents only ever grow under products.
+The performance lever of the whole package sits here: umbrae with a finite
+nonzero-moment range (``max_power``) let multiplication drop doomed monomials
+eagerly, because exponents only ever grow under products.
+
+Monomial keys hold the variable objects themselves, so a polynomial keeps its
+own umbrae and indeterminates alive and no module-level table maps ids back
+to variables: a computation's variables are freed along with its results.
 """
 
 from __future__ import annotations
@@ -44,9 +48,6 @@ __all__ = [
 Scalar = Union[int, Fraction, float]
 
 _IDS = itertools.count(1)
-_UMBRAE: dict[int, "Umbra"] = {}
-_INDETS: dict[int, "Indeterminate"] = {}
-_MISSING = object()
 
 
 class _Operand:
@@ -87,27 +88,25 @@ class Umbra(_Operand):
     ``0..k-1`` already computed, which keeps recursive sequences (normal
     moments) cheap.  ``max_power`` is the largest exponent that can carry a
     nonzero moment; ``None`` means unbounded.  Moment memoization is guarded
-    by a lock so umbrae can be shared across threads.
+    by a lock so umbrae can be shared across threads.  ``ident`` only fixes
+    the order of factors inside a monomial.
     """
 
-    __slots__ = ("ident", "name", "kind", "max_power", "_moment_fn", "_cache", "_lock")
+    __slots__ = ("ident", "name", "max_power", "_moment_fn", "_cache", "_lock", "__weakref__")
 
     def __init__(
         self,
         moment_fn: Callable[[int, list], Scalar],
         *,
         name: str | None = None,
-        kind: str = "custom",
         max_power: int | None = None,
     ) -> None:
         self.ident = next(_IDS)
         self.name = name or f"a{self.ident}"
-        self.kind = kind
         self.max_power = max_power
         self._moment_fn = moment_fn
         self._cache: list = [1]
         self._lock = threading.Lock()
-        _UMBRAE[self.ident] = self
 
     def moment(self, k: int) -> Scalar:
         if k < 0:
@@ -127,12 +126,11 @@ class Umbra(_Operand):
 class Indeterminate(_Operand):
     """An ordinary commuting formal variable; distinct instances are distinct."""
 
-    __slots__ = ("ident", "name")
+    __slots__ = ("ident", "name", "__weakref__")
 
     def __init__(self, name: str) -> None:
         self.ident = next(_IDS)
         self.name = name
-        _INDETS[self.ident] = self
 
     def __repr__(self) -> str:
         return f"Indeterminate({self.name})"
@@ -145,7 +143,7 @@ def indeterminates(prefix: str, count: int) -> list[Indeterminate]:
 def singletons(count: int = 1, prefix: str = "chi") -> list[Umbra]:
     """Fresh mutually uncorrelated umbrae with moments 1, 1, 0, 0, ..."""
     return [
-        Umbra(lambda k, prev: 1 if k == 1 else 0, name=f"{prefix}{i + 1}", kind="singleton", max_power=1)
+        Umbra(lambda k, prev: 1 if k == 1 else 0, name=f"{prefix}{i + 1}", max_power=1)
         for i in range(count)
     ]
 
@@ -153,14 +151,14 @@ def singletons(count: int = 1, prefix: str = "chi") -> list[Umbra]:
 def deltas(count: int = 1, prefix: str = "dlt") -> list[Umbra]:
     """Fresh umbrae with moments 1, 0, 1, 0, 0, ... (only orders 0 and 2 live)."""
     return [
-        Umbra(lambda k, prev: 1 if k == 2 else 0, name=f"{prefix}{i + 1}", kind="delta", max_power=2)
+        Umbra(lambda k, prev: 1 if k == 2 else 0, name=f"{prefix}{i + 1}", max_power=2)
         for i in range(count)
     ]
 
 
 def unities(count: int = 1, prefix: str = "u") -> list[Umbra]:
     """Fresh umbrae with every moment equal to 1."""
-    return [Umbra(lambda k, prev: 1, name=f"{prefix}{i + 1}", kind="unity") for i in range(count)]
+    return [Umbra(lambda k, prev: 1, name=f"{prefix}{i + 1}") for i in range(count)]
 
 
 def gaussian(
@@ -183,7 +181,7 @@ def gaussian(
             return mean
         return mean * prev[k - 1] + (k - 1) * variance * prev[k - 2]
 
-    return Umbra(mom, name=name or "g", kind="gaussian")
+    return Umbra(mom, name=name or "g")
 
 
 def falling(n: int, name: str | None = None) -> Umbra:
@@ -194,7 +192,6 @@ def falling(n: int, name: str | None = None) -> Umbra:
     return Umbra(
         lambda k, prev: falling_factorial(n, k),
         name=name or f"fall{n}",
-        kind="falling",
         max_power=n,
     )
 
@@ -211,12 +208,12 @@ def custom_umbra(
     """
     if callable(moments):
         fn = moments
-        return Umbra(lambda k, prev: fn(k), name=name, kind="custom", max_power=max_power)
+        return Umbra(lambda k, prev: fn(k), name=name, max_power=max_power)
     seq = list(moments)
     if not seq or seq[0] != 1:
         raise ValueError("moment sequence must start with a_0 = 1")
     bound = len(seq) - 1 if max_power is None else max_power
-    return Umbra(lambda k, prev: seq[k], name=name, kind="custom", max_power=bound)
+    return Umbra(lambda k, prev: seq[k], name=name, max_power=bound)
 
 
 def _merge_powers(a: tuple, b: tuple) -> tuple:
@@ -228,13 +225,13 @@ def _merge_powers(a: tuple, b: tuple) -> tuple:
     ia = ib = 0
     la, lb = len(a), len(b)
     while ia < la and ib < lb:
-        ka, ea = a[ia]
-        kb, eb = b[ib]
-        if ka == kb:
-            out.append((ka, ea + eb))
+        va, ea = a[ia]
+        vb, eb = b[ib]
+        if va is vb:
+            out.append((va, ea + eb))
             ia += 1
             ib += 1
-        elif ka < kb:
+        elif va.ident < vb.ident:
             out.append(a[ia])
             ia += 1
         else:
@@ -245,13 +242,26 @@ def _merge_powers(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def _alive(powers: tuple) -> bool:
+    for u, e in powers:
+        cap = u.max_power
+        if cap is not None and e > cap:
+            return False
+    return True
+
+
+def _display_order(key: tuple) -> tuple:
+    return tuple(tuple((v.ident, e) for v, e in powers) for powers in key)
+
+
 class UmbralPolynomial:
     """Canonical sparse linear combination of monomials in umbrae and
     indeterminates.
 
-    Terms map ``(umbra_powers, indet_powers)`` — both id-sorted tuples of
-    ``(ident, exponent)`` with no zero exponents — to nonzero coefficients.
-    Equality of polynomials is equality of these maps.  Instances are treated
+    Terms map ``(umbra_powers, indet_powers)`` — both tuples of
+    ``(variable, exponent)`` sorted by the variable's ``ident``, with no zero
+    exponents — to nonzero coefficients.  Variables compare by identity, so
+    equality of polynomials is equality of these maps.  Instances are treated
     as immutable values.
     """
 
@@ -281,9 +291,9 @@ class UmbralPolynomial:
         if isinstance(x, UmbralPolynomial):
             return x
         if isinstance(x, Umbra):
-            return UmbralPolynomial({(((x.ident, 1),), ()): 1})
+            return UmbralPolynomial({(((x, 1),), ()): 1})
         if isinstance(x, Indeterminate):
-            return UmbralPolynomial({((), ((x.ident, 1),)): 1})
+            return UmbralPolynomial({((), ((x, 1),)): 1})
         if isinstance(x, (int, Fraction)):
             return UmbralPolynomial.constant(x)
         if isinstance(x, numbers.Real):
@@ -295,10 +305,6 @@ class UmbralPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def umbra_free(self) -> bool:
-        return all(not ub for ub, _ in self._terms)
 
     def terms(self):
         """Read-only view of the canonical term map."""
@@ -312,14 +318,6 @@ class UmbralPolynomial:
             if not ub and not ind:
                 return c
         raise ValueError("polynomial is not a constant")
-
-    def indet_degree(self, idents: set[int] | None = None) -> int:
-        """Max total degree over the given indeterminate ids (all if None)."""
-        best = 0
-        for _, ind in self._terms:
-            deg = sum(e for vid, e in ind if idents is None or vid in idents)
-            best = max(best, deg)
-        return best
 
     # -- ring operations ---------------------------------------------------
 
@@ -371,23 +369,11 @@ class UmbralPolynomial:
         other = UmbralPolynomial.coerce(other)
         if not self._terms or not other._terms:
             return UmbralPolynomial.zero()
-        caps: dict[int, int | None] = {}
-
-        def alive(powers: tuple) -> bool:
-            for uid, e in powers:
-                cap = caps.get(uid, _MISSING)
-                if cap is _MISSING:
-                    cap = _UMBRAE[uid].max_power
-                    caps[uid] = cap
-                if cap is not None and e > cap:
-                    return False
-            return True
-
         out: dict = {}
         for (ua, ia), ca in self._terms.items():
             for (ub, ib), cb in other._terms.items():
                 u = _merge_powers(ua, ub)
-                if prune and not alive(u):
+                if prune and not _alive(u):
                     continue
                 key = (u, _merge_powers(ia, ib))
                 c = ca * cb
@@ -433,16 +419,15 @@ class UmbralPolynomial:
         operation is an exact homomorphism on formal polynomials.
         """
         repl = UmbralPolynomial.coerce(replacement)
-        target = indet.ident
         out = UmbralPolynomial.zero()
         for (ub, ind), c in self._terms.items():
             exp = 0
             rest = []
-            for vid, ve in ind:
-                if vid == target:
+            for v, ve in ind:
+                if v is indet:
                     exp = ve
                 else:
-                    rest.append((vid, ve))
+                    rest.append((v, ve))
             base = UmbralPolynomial({(ub, tuple(rest)): c})
             out = out + (base.mul(repl.pow(exp, prune=False), prune=False) if exp else base)
         return out
@@ -463,15 +448,9 @@ class UmbralPolynomial:
         if not self._terms:
             return "0"
         bits = []
-        for key in sorted(self._terms):
-            ub, ind = key
+        for key in sorted(self._terms, key=_display_order):
             c = self._terms[key]
-            factors = [
-                f"{_UMBRAE[uid].name}^{e}" if e > 1 else _UMBRAE[uid].name for uid, e in ub
-            ]
-            factors += [
-                f"{_INDETS[vid].name}^{e}" if e > 1 else _INDETS[vid].name for vid, e in ind
-            ]
+            factors = [f"{v.name}^{e}" if e > 1 else v.name for v, e in key[0] + key[1]]
             if not factors:
                 bits.append(str(c))
             elif c == 1:
@@ -498,8 +477,8 @@ def evaluate(x) -> UmbralPolynomial:
     for (ub, ind), c in p._terms.items():
         value = c
         dead = False
-        for uid, e in ub:
-            mom = _UMBRAE[uid].moment(e)
+        for u, e in ub:
+            mom = u.moment(e)
             if mom == 0:
                 dead = True
                 break

@@ -96,7 +96,9 @@ class WishartParams:
             raise ValueError("covariance and mean entries must be finite")
         if linalg.shape(self.sigma) != (self.p, self.p):
             raise ValueError("covariance must be p x p")
-        tol = 0.0 if self.mode == "rational" else SYMMETRY_TOL
+        tol = 0.0 if self.mode == "rational" else SYMMETRY_TOL * max(
+            [1.0] + [abs(x) for row in self.sigma for x in row]
+        )
         if not linalg.is_symmetric(self.sigma, tol):
             raise ValueError("covariance must be symmetric")
         if any(minor <= 0 for minor in linalg.leading_principal_minors(self.sigma)):
@@ -362,22 +364,20 @@ def _delta_core(
     return value
 
 
-def _extract_esf_multiple(value: UmbralPolynomial, theta_ids: list[int], p: int, i: int):
+def _extract_esf_multiple(value: UmbralPolynomial, theta: Sequence[Indeterminate], i: int):
     """Verify that an evaluated kernel result is a constant multiple of the
     i-th elementary symmetric polynomial in the given symbols and return that
     constant.  Anything else is a kernel defect and raises."""
-    expected_subsets = {
-        tuple(sorted(c)) for c in itertools.combinations(theta_ids, i)
-    }
-    seen: dict[tuple, object] = {}
+    expected_subsets = {frozenset(c) for c in itertools.combinations(theta, i)}
+    seen: dict[frozenset, object] = {}
     for (ub, ind), c in value.terms():
         if ub:
             raise ArithmeticError("kernel result still contains formal variables")
-        ids = tuple(sorted(vid for vid, e in ind))
-        if len(ids) != i or any(e != 1 for _, e in ind) or not set(ids) <= set(theta_ids):
+        subset = frozenset(v for v, _ in ind)
+        if subset not in expected_subsets or any(e != 1 for _, e in ind):
             raise ArithmeticError("kernel result is not an elementary symmetric multiple")
-        seen[ids] = c
-    if set(seen) != expected_subsets:
+        seen[subset] = c
+    if len(seen) != len(expected_subsets):
         raise ArithmeticError("kernel result misses elementary symmetric monomials")
     coeffs = set(seen.values())
     if len(coeffs) != 1:
@@ -389,8 +389,7 @@ def _umbral_central(params: WishartParams, i: int):
     theta, symbolic = params.resolve_theta()
     value = _delta_core(params.n, params.p, theta, None, params.sigma, i)
     if symbolic:
-        ids = [s.ident for s in params.theta_syms]
-        coeff = _extract_esf_multiple(value, ids, params.p, i)
+        coeff = _extract_esf_multiple(value, params.theta_syms, i)
         sums = linalg.power_sums(params.sigma, i)
         esf_value = elementary_symmetric_from_power_sums(sums, i)
         return divide_by_factorial(coeff * esf_value, i)
@@ -415,21 +414,16 @@ def _umbral_scaled_identity(params: WishartParams, i: int, s2):
     return _scaled_identity_core(params.n, params.p, float(s2), mvals, i)
 
 
-def _umbral_determinant_route(n: int, sigma, m, i: int):
-    """Full-order case: rotate to identity covariance, weight by det(sigma)."""
-    root_inv = linalg.sym_inv_sqrt(sigma)
-    rotated = linalg.mat_mul(root_inv, linalg.to_float(m))
-    mvals = linalg.singular_values(rotated)
-    core = _scaled_identity_core(n, i, 1.0, mvals, i)
-    return float(linalg.det(sigma)) * core
-
-
 def _umbral_minor_sum(params: WishartParams, i: int):
+    """Sum over the i x i principal blocks: rotate each block to identity
+    covariance and weight its scaled-identity value by the block's det."""
     total = 0.0
     for subset in itertools.combinations(range(params.p), i):
-        sub_sigma = linalg.submatrix(params.sigma, subset, subset)
-        sub_m = tuple(params.m[r] for r in subset)
-        total += _umbral_determinant_route(params.n, sub_sigma, sub_m, i)
+        sigma = linalg.submatrix(params.sigma, subset, subset)
+        m = tuple(params.m[r] for r in subset)
+        rotated = linalg.mat_mul(linalg.sym_inv_sqrt(sigma), linalg.to_float(m))
+        core = _scaled_identity_core(params.n, i, 1.0, linalg.singular_values(rotated), i)
+        total += float(linalg.det(sigma)) * core
     return total
 
 
@@ -448,8 +442,6 @@ def expected_esf_umbral(params: WishartParams, i: int):
     s2 = params.sigma_scalar
     if s2 is not None:
         return _umbral_scaled_identity(params, i, s2)
-    if i == params.p:
-        return _umbral_determinant_route(params.n, params.sigma, params.m, i)
     return _umbral_minor_sum(params, i)
 
 

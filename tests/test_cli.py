@@ -177,6 +177,26 @@ class TestCompute:
         assert result.returncode == EXIT_USAGE
         assert not out.exists()
 
+    def test_unwritable_out_is_usage_error(self, identity2, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        result = run_cli(
+            ["compute", "--n", "3", "--p", "2", "--sigma", identity2, "--i", "1", "--out", str(out)]
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stderr.startswith("error: cannot write")
+        assert "Traceback" not in result.stderr
+        assert not out.parent.exists()
+
+    def test_out_replaces_existing_file_without_leftovers(self, identity2, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("stale\n")
+        code = main(
+            ["compute", "--n", "3", "--p", "2", "--sigma", identity2, "--i", "2", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        assert json.loads(out.read_text())["results"][0]["value"] == "6"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["I2.csv", "report.json"]
+
     def test_csv_output(self, identity2, capsys):
         code = main(
             [

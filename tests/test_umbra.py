@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -238,6 +240,21 @@ class TestArithmetic:
             pa = random_poly(rng, symbols)
             pb = random_poly(rng, symbols)
             assert evaluate(pa.mul(pb)) == evaluate(pa.mul(pb, prune=False))
+
+
+class TestVariableLifetime:
+    def test_polynomial_keeps_its_umbrae_alive_and_frees_them(self):
+        (d,) = deltas(1)
+        (y,) = indeterminates("z", 1)
+        umbra_ref, indet_ref = weakref.ref(d), weakref.ref(y)
+        poly = (d * y) ** 2
+        del d, y
+        gc.collect()
+        assert umbra_ref() is not None and indet_ref() is not None
+        assert evaluate(poly) == indet_ref() ** 2
+        del poly
+        gc.collect()
+        assert umbra_ref() is None and indet_ref() is None
 
 
 class TestDisplay:

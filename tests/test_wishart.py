@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wishart_esf import linalg
+from wishart_esf import linalg, wishart
 from wishart_esf.combinatorics import (
     bell_coefficient,
     complete_bell,
@@ -50,6 +52,15 @@ class TestParams:
     def test_requires_positive_definite(self):
         with pytest.raises(ValueError):
             WishartParams(3, 2, ((1, 2), (2, 1)))
+
+    def test_symmetry_tolerance_scales_with_covariance(self):
+        # 4e-16 relative is a few ulps at 1e5, far above an absolute 1e-12
+        params = WishartParams(3, 2, ((2e5, 1e5), (1e5 * (1 + 4e-16), 3e5)))
+        assert params.mode == "float"
+        with pytest.raises(ValueError, match="symmetric"):
+            WishartParams(3, 2, ((2e5, 1e5), (1.0001e5, 3e5)))
+        with pytest.raises(ValueError, match="symmetric"):
+            WishartParams(3, 2, ((2.0, 1.0), (1.0 + 1e-9, 3.0)))
 
     def test_mode_detection(self):
         assert WishartParams(3, 2, linalg.identity(2)).mode == "rational"
@@ -144,14 +155,14 @@ class TestCumulants:
             ((Fraction(1), 0), (0, Fraction(2))),
             ((Fraction(1), Fraction(1, 2), 0), (0, Fraction(2), Fraction(1))),
         )
-        y_ids = {v.ident for v in params.y_vars}
-        x_ids = {v.ident for v in params.x_vars}
+        y_vars = set(params.y_vars)
+        x_vars = set(params.x_vars)
         for k in (1, 2, 3):
             ck = trace_cumulant(params, k)
             for (ub, ind), _ in ck.terms():
                 assert not ub
-                ydeg = sum(e for vid, e in ind if vid in y_ids)
-                xdeg = sum(e for vid, e in ind if vid in x_ids)
+                ydeg = sum(e for v, e in ind if v in y_vars)
+                xdeg = sum(e for v, e in ind if v in x_vars)
                 assert ydeg == 2 * k
                 assert xdeg == 2 * k
 
@@ -257,6 +268,26 @@ class TestUmbralRoute:
         params = WishartParams(3, 2, linalg.identity(2))
         assert expected_esf_umbral(params, 0) == 1
         assert expected_esf_umbral(params, 3) == 0
+
+    def test_umbrae_of_a_finished_computation_are_freed(self, monkeypatch):
+        refs = []
+
+        def recording_deltas(count, prefix):
+            fresh = deltas(count, prefix=prefix)
+            refs.extend(weakref.ref(d) for d in fresh)
+            return fresh
+
+        monkeypatch.setattr(wishart, "deltas", recording_deltas)
+        cases = [
+            WishartParams(3, 2, ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))),
+            WishartParams(3, 2, linalg.identity(2), ((Fraction(1), 0, 0), (0, Fraction(2), 0))),
+            WishartParams(3, 2, ((2.0, 0.5), (0.5, 1.0)), ((1.0, 0.5, 0.0), (0.0, 1.0, 2.0))),
+        ]
+        for params in cases:
+            for i in (1, 2):
+                expected_esf_umbral(params, i)
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
 
     def test_rationally_split_covariance_stays_exact(self):
         sigma = ((Fraction(5), Fraction(2)), (Fraction(2), Fraction(5)))
