@@ -3,7 +3,7 @@
 Everything in this module is exact: integer or ``fractions.Fraction``
 arithmetic throughout, with the complete Bell polynomial generic over any
 commutative ring (numbers or polynomial values) since it only needs ``+``,
-``*`` and nonnegative integer powers.
+``*`` and a test for zero.
 """
 
 from __future__ import annotations
@@ -133,18 +133,28 @@ def complete_bell(values: Sequence):
     """Complete Bell polynomial ``B_i(c_1, ..., c_i)`` with ``i = len(values)``.
 
     ``B_0 = 1``.  Generic over the coefficient ring: entries may be numbers,
-    ``Fraction``s, or polynomial-like values supporting ``+``, ``*``, ``**``.
+    ``Fraction``s, or polynomial-like values supporting ``+``, ``*`` and
+    comparison with 0.  Partitions using a zero entry are skipped, and the
+    powers of each entry are built once, by repeated multiplication, and
+    shared across partitions; 0 when no term survives.
     """
     i = len(values)
     if i == 0:
         return 1
+    zero = [v == 0 for v in values]
+    powers = [[v] for v in values]  # powers[k][r - 1] = values[k]^r
     total = None
     for partition in enumerate_partitions(i):
+        if any(zero[part - 1] for part, _ in partition.parts):
+            continue
         term = bell_coefficient(partition)
         for part, mult in partition.parts:
-            term = term * values[part - 1] ** mult
+            built = powers[part - 1]
+            while len(built) < mult:
+                built.append(built[-1] * built[0])
+            term = term * built[mult - 1]
         total = term if total is None else total + term
-    return total
+    return 0 if total is None else total
 
 
 def power_sum(y: Sequence, k: int):

@@ -213,6 +213,29 @@ def leading_principal_minors(a: Sequence[Sequence]) -> list:
     return [det(submatrix(a, tuple(idx[: k + 1]), tuple(idx[: k + 1]))) for k in idx]
 
 
+def is_positive_definite(a: Sequence[Sequence]) -> bool:
+    """Whether a symmetric matrix is positive definite.
+
+    Exact entries: every leading principal minor is positive.  Float
+    entries: every pivot of a Cholesky factorization is positive; the
+    factor's entries scale with the square root of the matrix, so the test
+    does not underflow at small scale as a product of p entries does.
+    """
+    if is_rational_matrix(a):
+        return all(minor > 0 for minor in leading_principal_minors(a))
+    low: list[list] = []
+    for r, row in enumerate(a):
+        new: list = []
+        for c in range(r):
+            new.append((row[c] - sum(x * y for x, y in zip(low[c], new))) / low[c][c])
+        pivot = row[r] - sum(x * x for x in new)
+        if not pivot > 0:
+            return False
+        new.append(math.sqrt(pivot))
+        low.append(new)
+    return True
+
+
 def _divisors(n: int, limit: int = 4000) -> list[int] | None:
     n = abs(n)
     if n == 0:

@@ -12,6 +12,16 @@ The performance lever of the whole package sits here: umbrae with a finite
 nonzero-moment range (``max_power``) let multiplication drop doomed monomials
 eagerly, because exponents only ever grow under products.
 
+Each product packs the monomials of both operands into Python ints, one bit
+field per variable (the packed monomials of Monagan & Pearce, *Sparse
+polynomial division using heaps*, JSC 2011): a term pair costs one integer
+add, and under pruning one mask test against guard bits that a biased field
+sets exactly when a bounded umbra passes ``max_power``.  Surviving keys are
+unpacked back to the ``(umbra_powers, indet_powers)`` tuples of
+:class:`UmbralPolynomial`.  The coefficients are whatever the
+operands hold; callers that clear denominators first (the Wishart route does)
+keep them ``int``.
+
 Monomial keys hold the variable objects themselves, so a polynomial keeps its
 own umbrae and indeterminates alive and no module-level table maps ids back
 to variables: a computation's variables are freed along with its results.
@@ -216,38 +226,76 @@ def custom_umbra(
     return Umbra(lambda k, prev: seq[k], name=name, max_power=bound)
 
 
-def _merge_powers(a: tuple, b: tuple) -> tuple:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia = ib = 0
-    la, lb = len(a), len(b)
-    while ia < la and ib < lb:
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va is vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va.ident < vb.ident:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+def _top_exponents(terms: dict) -> dict:
+    """Largest exponent of every variable over the keys of a term map."""
+    top: dict = {}
+    for ub, ind in terms:
+        for v, e in ub + ind:
+            if e > top.get(v, 0):
+                top[v] = e
+    return top
 
 
-def _alive(powers: tuple) -> bool:
-    for u, e in powers:
-        cap = u.max_power
-        if cap is not None and e > cap:
-            return False
-    return True
+class _Layout:
+    """Bit fields for the monomials of one product, one field per variable.
+
+    A field is wide enough for the largest exponent sum the product can
+    form, so packed keys add without carrying between fields.  Under pruning,
+    the field of an umbra whose exponent sum can exceed its ``max_power`` c
+    gets a guard bit at position k and a bias ``2^k - 1 - c`` on the left
+    operand's keys: the guard bit of a sum is set exactly when that umbra's
+    exponent exceeds c.
+    """
+
+    __slots__ = ("offsets", "bias", "guard", "umbra_fields", "indet_fields")
+
+    def __init__(self, left: dict, right: dict, prune: bool) -> None:
+        top_left = _top_exponents(left)
+        top_right = _top_exponents(right)
+        self.offsets: dict = {}
+        self.bias = self.guard = 0
+        self.umbra_fields: list = []
+        self.indet_fields: list = []
+        offset = 0
+        for v in sorted(top_left.keys() | top_right.keys(), key=lambda v: v.ident):
+            total = top_left.get(v, 0) + top_right.get(v, 0)
+            is_umbra = isinstance(v, Umbra)
+            cap = v.max_power if prune and is_umbra else None
+            if cap is None or total <= cap:
+                width = total.bit_length()
+            else:
+                k = max(cap.bit_length(), (total - cap - 1).bit_length())
+                self.bias += ((1 << k) - 1 - cap) << offset
+                self.guard |= 1 << (offset + k)
+                width = k + 1
+            self.offsets[v] = offset
+            fields = self.umbra_fields if is_umbra else self.indet_fields
+            fields.append((v, offset, (1 << width) - 1))
+            offset += width
+
+    def pack(self, terms: dict, bias: int = 0) -> list:
+        offsets = self.offsets
+        packed = []
+        for (ub, ind), c in terms.items():
+            key = bias
+            for v, e in ub + ind:
+                key += e << offsets[v]
+            packed.append((key, c))
+        return packed
+
+    def unpack(self, key: int) -> tuple:
+        key -= self.bias
+        umbra_powers = []
+        for v, offset, mask in self.umbra_fields:
+            e = key >> offset & mask
+            if e:
+                umbra_powers.append((v, e))
+        indet_powers = []
+        for v, offset, mask in self.indet_fields:
+            e = key >> offset & mask
+            if e:
+                indet_powers.append((v, e))
+        return tuple(umbra_powers), tuple(indet_powers)
 
 
 def _display_order(key: tuple) -> tuple:
@@ -369,13 +417,15 @@ class UmbralPolynomial:
         other = UmbralPolynomial.coerce(other)
         if not self._terms or not other._terms:
             return UmbralPolynomial.zero()
+        layout = _Layout(self._terms, other._terms, prune)
+        right = layout.pack(other._terms)
+        guard = layout.guard
         out: dict = {}
-        for (ua, ia), ca in self._terms.items():
-            for (ub, ib), cb in other._terms.items():
-                u = _merge_powers(ua, ub)
-                if prune and not _alive(u):
+        for ka, ca in layout.pack(self._terms, layout.bias):
+            for kb, cb in right:
+                key = ka + kb
+                if key & guard:
                     continue
-                key = (u, _merge_powers(ia, ib))
                 c = ca * cb
                 prev = out.get(key)
                 if prev is None:
@@ -386,7 +436,8 @@ class UmbralPolynomial:
                         del out[key]
                     else:
                         out[key] = s
-        return UmbralPolynomial(out)
+        unpack = layout.unpack
+        return UmbralPolynomial({unpack(key): c for key, c in out.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -402,6 +453,8 @@ class UmbralPolynomial:
             return UmbralPolynomial.one()
         result = self
         for _ in range(k - 1):
+            if result.is_zero:
+                break
             result = result.mul(self, prune=prune)
         return result
 

@@ -101,7 +101,7 @@ class WishartParams:
         )
         if not linalg.is_symmetric(self.sigma, tol):
             raise ValueError("covariance must be symmetric")
-        if any(minor <= 0 for minor in linalg.leading_principal_minors(self.sigma)):
+        if not linalg.is_positive_definite(self.sigma):
             raise ValueError("covariance must be positive definite")
         if self.m is not None and linalg.shape(self.m) != (self.p, self.n):
             raise ValueError("mean must be p x n")
@@ -154,21 +154,27 @@ class WishartParams:
         the covariance is diagonal or splits rationally, floats otherwise for
         float inputs, and symbolic indeterminates as the exact fallback.
 
-        Returns ``(values, symbolic_flag)``.
+        Returns ``(values, symbolic_flag)``.  Resolved on first use and kept
+        with the parameters.
         """
+        values, symbolic = self._latent_roots
+        return list(values), symbolic
+
+    @cached_property
+    def _latent_roots(self) -> tuple[tuple, bool]:
         if self.symbolic_mode:
-            return [s._lift() for s in self.theta_syms], False
+            return tuple(s._lift() for s in self.theta_syms), False
         if self.sigma_is_diagonal:
-            return [self.sigma[i][i] for i in range(self.p)], False
+            return tuple(self.sigma[i][i] for i in range(self.p)), False
         if self.mode == "rational":
             eigs = linalg.rational_eigenvalues(self.sigma)
             if eigs is not None:
-                return list(eigs), False
-            return [s._lift() for s in self.theta_syms], True
+                return tuple(eigs), False
+            return tuple(s._lift() for s in self.theta_syms), True
         import numpy as np
 
         w = np.linalg.eigvalsh(np.array(linalg.to_float(self.sigma), dtype=float))
-        return [float(x) for x in w], False
+        return tuple(float(x) for x in w), False
 
     def omega(self) -> tuple:
         """Noncentrality matrix ``sigma^{-1} M M^T``."""
@@ -350,8 +356,25 @@ def _delta_core(
     i: int,
 ):
     """Evaluation of the Bell combination with fresh 1,0,1,0,... umbrae plugged
-    into both weight families, divided by i!.  Returns a scalar, or a
-    polynomial in whatever symbolic latent-root weights were passed in."""
+    into both weight families.  Returns a scalar, or a polynomial in whatever
+    symbolic latent-root weights were passed in.
+
+    Rational inputs run on integer coefficients: with ``c`` the common
+    denominator of the latent roots (and, with a mean, of ``sigma`` and
+    ``m``), the k-th cumulant is homogeneous of degree ``2k`` under
+    ``theta, sigma -> c^2 theta, c^2 sigma`` and ``m -> c m``, so the
+    scaled Bell combination is ``c^(2i)`` times the original.
+    """
+    numeric = [x for x in theta if not isinstance(x, UmbralPolynomial)]
+    if m is not None:
+        numeric += [x for rows in (sigma, m) for row in rows for x in row]
+    scale = 1
+    if all(isinstance(x, (int, Fraction)) for x in numeric):
+        scale = math.lcm(*(Fraction(x).denominator for x in numeric))
+        theta = [_times(x, scale * scale) for x in theta]
+        if m is not None:
+            sigma = [[_times(x, scale * scale) for x in row] for row in sigma]
+            m = [[_times(x, scale) for x in row] for row in m]
     dp = deltas(p, prefix="dy")
     dn = deltas(n, prefix="dx")
     yv = _lift_all(dp)
@@ -361,7 +384,15 @@ def _delta_core(
         for k in range(1, i + 1)
     ]
     value = evaluate(complete_bell(cumulants))
-    return value
+    return value.scale(Fraction(1, scale ** (2 * i)))
+
+
+def _times(x, s: int):
+    """``s x`` as an int for a rational ``x`` that ``s`` clears, or a scaled
+    polynomial."""
+    if isinstance(x, UmbralPolynomial):
+        return x.scale(s)
+    return (x * s).numerator
 
 
 def _extract_esf_multiple(value: UmbralPolynomial, theta: Sequence[Indeterminate], i: int):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wishart_esf.cli import (
     EXIT_OK,
@@ -417,3 +422,64 @@ class TestDeterminism:
         b = run_cli(args)
         assert a.returncode == b.returncode == EXIT_OK
         assert a.stdout == b.stdout
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@st.composite
+def float_models(draw):
+    """A valid float model as CSV text: ``L L^T + I`` covariance times a
+    power of ten, and an optional dense mean."""
+    p = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=p, max_value=p + 1))
+    entries = st.floats(min_value=-2, max_value=2, allow_nan=False, allow_infinity=False)
+    low = draw(st.lists(st.lists(entries, min_size=p, max_size=p), min_size=p, max_size=p))
+    scale = 10.0 ** draw(st.integers(min_value=-60, max_value=60))
+    sigma = [
+        [scale * (sum(low[r][k] * low[c][k] for k in range(p)) + (r == c)) for c in range(p)]
+        for r in range(p)
+    ]
+    sigma = [[sigma[min(r, c)][max(r, c)] for c in range(p)] for r in range(p)]
+    mean = draw(
+        st.none() | st.lists(st.lists(entries, min_size=n, max_size=n), min_size=p, max_size=p)
+    )
+    return n, p, sigma, mean
+
+
+def _write_csv(path: Path, rows) -> str:
+    path.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in rows))
+    return str(path)
+
+
+def _run_in_process(argv: list[str]) -> tuple[int, str]:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, buffer.getvalue()
+
+
+class TestJsonOutputProperty:
+    @given(
+        float_models(),
+        st.sampled_from(["closed-form", "umbral", "mc"]),
+        st.sampled_from(["compute", "compare"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_float_reports_are_valid_json(self, model, method, command):
+        n, p, sigma, mean = model
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, "--mode", "float", "--n", str(n), "--p", str(p), "--i", f"0..{p}"]
+            argv += ["--sigma", _write_csv(Path(tmp) / "s.csv", sigma), "--samples", "64"]
+            if mean is not None:
+                argv += ["--m", _write_csv(Path(tmp) / "m.csv", mean)]
+            if command == "compute":
+                argv += ["--method", method]
+            else:
+                other = "umbral" if method == "closed-form" else method
+                argv += ["--methods", f"closed-form,{other}"]
+            code, out = _run_in_process(argv)
+        assert code in (EXIT_OK, EXIT_STATISTICAL), argv
+        report = json.loads(out, parse_constant=_reject_constant)
+        assert report["results"]

@@ -110,6 +110,65 @@ class TestCompleteBell:
                 substituted = substituted.substitute(s, v)
             assert substituted.as_scalar() == complete_bell(vals)
 
+    @given(st.lists(st.just(Fraction(0)) | small_fractions, max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_partition_sum_on_scalars(self, values):
+        assert complete_bell(values) == full_partition_sum(values)
+
+    def test_matches_full_partition_sum_on_polynomials(self, rng):
+        syms = [UmbralPolynomial.coerce(s) for s in indeterminates("k", 3)]
+        zero = UmbralPolynomial.zero()
+        for _ in range(20):
+            values = []
+            for _ in range(rng.randint(1, 5)):
+                if rng.random() < 0.4:
+                    values.append(zero)
+                else:
+                    poly = UmbralPolynomial.constant(rng.randint(-2, 2))
+                    for s in rng.sample(syms, 2):
+                        poly = poly + s.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                    values.append(poly)
+            assert complete_bell(values) == full_partition_sum(values)
+
+    def test_zero_entries(self):
+        c1 = UmbralPolynomial.coerce(indeterminates("c", 1)[0])
+        zero = UmbralPolynomial.zero()
+        # with c_2.. = 0 only the partition 1^5 survives: B_5 = c_1^5
+        assert complete_bell([c1] + [zero] * 4) == c1**5
+        assert complete_bell([Fraction(0), Fraction(3)]) == 3
+        assert complete_bell([0, 0, 0]) == 0
+        assert complete_bell([zero] * 4) == 0
+
+    def test_products_skip_zero_entries_and_share_powers(self, monkeypatch):
+        products = []
+        original = UmbralPolynomial.mul
+
+        def counting(self, other, prune=True):
+            products.append(other)
+            return original(self, other, prune)
+
+        monkeypatch.setattr(UmbralPolynomial, "mul", counting)
+        c = [UmbralPolynomial.coerce(s) for s in indeterminates("c", 4)]
+        zero = UmbralPolynomial.zero()
+        # c_1^2 .. c_1^5 only
+        complete_bell([c[0]] + [zero] * 4)
+        assert len(products) == 4
+        # c_1^2, c_1^3, c_1^4, c_1^2 * c_2, c_1 * c_3, c_2^2: c_1^2 is built once
+        products.clear()
+        complete_bell(c)
+        assert len(products) == 6
+
+
+def full_partition_sum(values):
+    """``B_i`` as the sum over every partition of ``i``, zero entries included."""
+    total = 0
+    for partition in enumerate_partitions(len(values)):
+        term = bell_coefficient(partition)
+        for part, mult in partition.parts:
+            term = term * values[part - 1] ** mult
+        total = total + term
+    return total
+
 
 class TestPowerSumsAndEsf:
     def test_power_sum_basic(self):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from wishart_esf.combinatorics import elementary_symmetric, falling_factorial
 from wishart_esf.umbra import (
+    Indeterminate,
+    Umbra,
     UmbralPolynomial,
     custom_umbra,
     deltas,
@@ -240,6 +242,146 @@ class TestArithmetic:
             pa = random_poly(rng, symbols)
             pb = random_poly(rng, symbols)
             assert evaluate(pa.mul(pb)) == evaluate(pa.mul(pb, prune=False))
+
+
+def merged_powers(a: tuple, b: tuple) -> tuple:
+    """Reference monomial product: exponents of shared variables add, and
+    the factors stay sorted by ident."""
+    powers = dict(a)
+    for v, e in b:
+        powers[v] = powers.get(v, 0) + e
+    return tuple(sorted(powers.items(), key=lambda item: item[0].ident))
+
+
+def reference_mul(a: UmbralPolynomial, b: UmbralPolynomial, prune: bool = True) -> dict:
+    """Term map of ``a * b`` by merging the ``(variable, exponent)`` tuples
+    of every term pair, dropping over-range umbra powers under ``prune``."""
+    out: dict = {}
+    for (ua, ia), ca in a.terms():
+        for (ub, ib), cb in b.terms():
+            u = merged_powers(ua, ub)
+            if prune and any(v.max_power is not None and e > v.max_power for v, e in u):
+                continue
+            key = (u, merged_powers(ia, ib))
+            s = out.get(key, 0) + ca * cb
+            if s == 0:
+                del out[key]
+            else:
+                out[key] = s
+    return out
+
+
+def reference_substitute(poly: UmbralPolynomial, indet, replacement: UmbralPolynomial) -> dict:
+    total: dict = {}
+    for (ub, ind), c in poly.terms():
+        exp = dict(ind).get(indet, 0)
+        term = UmbralPolynomial({(ub, tuple((v, e) for v, e in ind if v is not indet)): c})
+        for _ in range(exp):
+            term = UmbralPolynomial(reference_mul(term, replacement, prune=False))
+        for key, v in term.terms():
+            s = total.get(key, 0) + v
+            if s == 0:
+                del total[key]
+            else:
+                total[key] = s
+    return total
+
+
+# bounded umbrae (max_power 1, 2, 3), unbounded umbrae and indeterminates
+MIXED_VARIABLES = (
+    singletons(1, prefix="sg")
+    + deltas(1, prefix="dl")
+    + [falling(3, name="fl")]
+    + [gaussian(1, variance=2, name="gs")]
+    + unities(1, prefix="un")
+    + indeterminates("z", 2)
+)
+
+
+def polynomial_from(terms) -> UmbralPolynomial:
+    """Canonical polynomial from ``[({variable: exponent}, coefficient)]``."""
+    out: dict = {}
+    for powers, c in terms:
+        ordered = sorted(powers.items(), key=lambda item: item[0].ident)
+        key = (
+            tuple(item for item in ordered if isinstance(item[0], Umbra)),
+            tuple(item for item in ordered if isinstance(item[0], Indeterminate)),
+        )
+        s = out.get(key, 0) + c
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return UmbralPolynomial(out)
+
+
+def mixed_polynomials(exponents=st.integers(min_value=1, max_value=3)):
+    return st.lists(
+        st.tuples(
+            st.dictionaries(st.sampled_from(MIXED_VARIABLES), exponents, max_size=4),
+            st.integers(min_value=-3, max_value=3).filter(bool) | small_fractions.filter(bool),
+        ),
+        max_size=6,
+    ).map(polynomial_from)
+
+
+# small exponents meet max_power 1..3; large ones need wide fields
+any_exponents = st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=45)
+
+
+class TestPackedProducts:
+    @given(mixed_polynomials(any_exponents), mixed_polynomials(any_exponents), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_matches_tuple_merge_reference(self, a, b, prune):
+        got = a.mul(b, prune=prune)
+        # same terms in the same order, so float sums keep their rounding
+        assert list(got.terms()) == list(reference_mul(a, b, prune).items())
+
+    @given(mixed_polynomials(), st.sampled_from(MIXED_VARIABLES[-2:]), mixed_polynomials())
+    @settings(max_examples=100, deadline=None)
+    def test_substitute_matches_reference(self, poly, indet, replacement):
+        got = poly.substitute(indet, replacement)
+        assert dict(got.terms()) == reference_substitute(poly, indet, replacement)
+
+    def test_large_exponents_of_unbounded_umbrae(self):
+        g = gaussian(0, variance=1)
+        product = (g**40).mul(g**40)
+        assert list(product.terms()) == [((((g, 80),), ()), 1)]
+        assert evaluate_scalar(product) == math.prod(range(1, 80, 2))
+
+    def test_exponents_past_max_power_survive_without_pruning(self):
+        (d,) = deltas(1)
+        (z,) = indeterminates("z", 1)
+        high = d._lift().pow(5, prune=False).mul(d * z, prune=False)
+        assert list(high.terms()) == [((((d, 6),), ((z, 1),)), 1)]
+        assert high.mul(d, prune=True).is_zero
+        assert evaluate(high) == 0
+
+    def test_cancellation(self):
+        (d,) = deltas(1)
+        (z,) = indeterminates("z", 1)
+        # the cross terms d*z cancel; d^2 * d dies under pruning
+        assert (z + d).mul(z - d) == z**2 - d**2
+        assert (d**2 + 2 * d).mul(d**2).is_zero
+        assert (d**2 + 2 * d).mul(d**2, prune=False) == polynomial_from([({d: 4}, 1), ({d: 3}, 2)])
+
+    def test_term_count_of_first_cumulant_powers(self):
+        # c_1 = sum_j x_j^2 sum_l y_l^2 theta_l with 1,0,1,0,... umbrae in
+        # x and y: a term of c_1^k picks k distinct rows and k distinct columns
+        p, n = 5, 6
+        dy, dx = deltas(p), deltas(n)
+        theta = indeterminates("th", p)
+        rows = UmbralPolynomial.zero()
+        for y, t in zip(dy, theta):
+            rows = rows + y**2 * t
+        cols = UmbralPolynomial.zero()
+        for x in dx:
+            cols = cols + x**2
+        c1 = rows.mul(cols)
+        power = UmbralPolynomial.one()
+        for k in range(1, p + 2):
+            power = power.mul(c1)
+            assert len(power.terms()) == math.comb(p, k) * math.comb(n, k)
 
 
 class TestVariableLifetime:

@@ -53,6 +53,18 @@ class TestParams:
         with pytest.raises(ValueError):
             WishartParams(3, 2, ((1, 2), (2, 1)))
 
+    def test_float_positive_definiteness_does_not_depend_on_scale(self):
+        # the 3x3 leading minor of the 1e-160 matrix underflows to 0
+        base = ((2.0, 1.0, 0.0), (1.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+        indefinite = ((1.0, 2.0, 0.0), (2.0, 1.0, 0.0), (0.0, 0.0, 3.0))
+        for scale in (1e-160, 1.0, 1e160):
+            params = WishartParams(4, 3, [[x * scale for x in row] for row in base])
+            assert params.mode == "float"
+            with pytest.raises(ValueError, match="positive definite"):
+                WishartParams(4, 3, [[x * scale for x in row] for row in indefinite])
+        with pytest.raises(ValueError, match="positive definite"):
+            WishartParams(3, 2, ((1.0, 1.0), (1.0, 1.0)))
+
     def test_symmetry_tolerance_scales_with_covariance(self):
         # 4e-16 relative is a few ulps at 1e5, far above an absolute 1e-12
         params = WishartParams(3, 2, ((2e5, 1e5), (1e5 * (1 + 4e-16), 3e5)))
@@ -295,6 +307,26 @@ class TestUmbralRoute:
         assert params.resolve_theta() == ([Fraction(7), Fraction(3)], False)
         assert expected_esf_umbral(params, 2) == falling_factorial(4, 2) * 21
 
+    def test_latent_roots_resolved_once_and_not_at_construction(self, monkeypatch):
+        calls = []
+        original = linalg.rational_eigenvalues
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(linalg, "rational_eigenvalues", counting)
+        sigma = ((Fraction(5), Fraction(2), 0), (Fraction(2), Fraction(5), 0), (0, 0, Fraction(3)))
+        params = WishartParams(4, 3, sigma)
+        assert calls == []
+        profile = [expected_esf_umbral(params, i) for i in range(1, 4)]
+        assert len(calls) == 1
+        assert profile == [expected_esf_closed_form(params, i) for i in range(1, 4)]
+        # the cached roots are not shared with callers
+        params.resolve_theta()[0].clear()
+        assert params.resolve_theta() == ([Fraction(7), Fraction(3), Fraction(3)], False)
+        assert len(calls) == 1
+
 
 class TestClosedForm:
     def test_central_diagonal_example(self):
@@ -385,6 +417,29 @@ class TestRouteAgreement:
                 assert type(value) is float and value == want, (route.__name__, i)
                 value = route(exact, i)
                 assert type(value) is Fraction and value == want, (route.__name__, i)
+
+    def test_coprime_denominators_stay_exact(self):
+        # the kernel clears these denominators and divides them back out
+        third = Fraction(1, 3)
+        central = ((Fraction(1, 7), 0, 0), (0, Fraction(2, 11), 0), (0, 0, Fraction(3, 13)))
+        s2 = Fraction(3, 7)
+        scalar = tuple(tuple(s2 if r == c else 0 for c in range(3)) for r in range(3))
+        mean = rect_diag_matrix((Fraction(2, 5), Fraction(1, 9), Fraction(4, 5) + third), 3, 4)
+        for sigma, m in ((central, None), (scalar, mean)):
+            exact = WishartParams(4, 3, sigma, m)
+            floats = WishartParams(
+                4,
+                3,
+                [[float(x) for x in row] for row in sigma],
+                None if m is None else [[float(x) for x in row] for row in m],
+            )
+            for i in range(4):
+                closed = expected_esf_closed_form(exact, i)
+                value = expected_esf_umbral(exact, i)
+                assert type(value) is Fraction and value == closed
+                approx = expected_esf_umbral(floats, i)
+                assert type(approx) is float
+                assert abs(approx - closed) <= 1e-8 * max(1, abs(closed))
 
     def test_rational_regimes_agree_exactly(self, rng):
         for _ in range(5):
