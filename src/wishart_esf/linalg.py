@@ -208,31 +208,28 @@ def scalar_identity_value(a: Sequence[Sequence]):
     return first
 
 
-def leading_principal_minors(a: Sequence[Sequence]) -> list:
-    idx = range(len(a))
-    return [det(submatrix(a, tuple(idx[: k + 1]), tuple(idx[: k + 1]))) for k in idx]
-
-
 def is_positive_definite(a: Sequence[Sequence]) -> bool:
-    """Whether a symmetric matrix is positive definite.
+    """Whether a symmetric matrix is positive definite: every pivot of its
+    symmetric elimination ``A = L D L^T`` is positive.
 
-    Exact entries: every leading principal minor is positive.  Float
-    entries: every pivot of a Cholesky factorization is positive; the
-    factor's entries scale with the square root of the matrix, so the test
-    does not underflow at small scale as a product of p entries does.
+    The k-th pivot is ``D_k / D_{k-1}``, the ratio of leading principal
+    minors, so on exact entries (ints are eliminated as ``Fraction``s) the
+    test is Sylvester's criterion.  On floats the pivots scale linearly with
+    the matrix and ``L`` not at all, so a tiny scale does not underflow.
     """
-    if is_rational_matrix(a):
-        return all(minor > 0 for minor in leading_principal_minors(a))
     low: list[list] = []
+    pivots: list = []
     for r, row in enumerate(a):
+        row = [Fraction(x) if isinstance(x, int) else x for x in row]
         new: list = []
         for c in range(r):
-            new.append((row[c] - sum(x * y for x, y in zip(low[c], new))) / low[c][c])
-        pivot = row[r] - sum(x * x for x in new)
+            acc = row[c] - sum(x * y * d for x, y, d in zip(new, low[c], pivots))
+            new.append(acc / pivots[c])
+        pivot = row[r] - sum(x * x * d for x, d in zip(new, pivots))
         if not pivot > 0:
             return False
-        new.append(math.sqrt(pivot))
         low.append(new)
+        pivots.append(pivot)
     return True
 
 

@@ -453,8 +453,6 @@ class UmbralPolynomial:
             return UmbralPolynomial.one()
         result = self
         for _ in range(k - 1):
-            if result.is_zero:
-                break
             result = result.mul(self, prune=prune)
         return result
 

@@ -115,6 +115,14 @@ class TestCompleteBell:
     def test_matches_full_partition_sum_on_scalars(self, values):
         assert complete_bell(values) == full_partition_sum(values)
 
+    @given(st.lists(st.just(0.0) | st.floats(min_value=-3, max_value=3), max_size=7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_partition_sum_on_floats(self, values):
+        # powers are built by repeated products, not ``**``: last bits may differ
+        expected = full_partition_sum(values)
+        scale = full_partition_sum([abs(v) for v in values])
+        assert complete_bell(values) == pytest.approx(expected, rel=0, abs=1e-12 * max(1.0, scale))
+
     def test_matches_full_partition_sum_on_polynomials(self, rng):
         syms = [UmbralPolynomial.coerce(s) for s in indeterminates("k", 3)]
         zero = UmbralPolynomial.zero()
