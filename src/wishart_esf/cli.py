@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -255,7 +256,7 @@ def _values_agree(kind: str, base: dict, other: dict) -> tuple[bool, float]:
     fa, fb = float(a), float(b)
     diff = abs(fa - fb)
     if kind == "statistical":
-        spread = (base.get("stderr", 0.0) ** 2 + other.get("stderr", 0.0) ** 2) ** 0.5
+        spread = math.hypot(base.get("stderr", 0.0), other.get("stderr", 0.0))
         return diff <= 4 * spread if spread > 0 else diff == 0.0, diff
     scale = max(1.0, abs(fa), abs(fb))
     return diff <= FLOAT_RTOL * scale, diff

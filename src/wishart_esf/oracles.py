@@ -251,5 +251,11 @@ def _summarize(values, samples: int, seed: int) -> Estimate:
     import numpy as np
 
     mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    # spread of the values divided by 2^shift, a power of two near their
+    # largest magnitude when that exceeds 1, so that squaring cannot overflow;
+    # the scaling is exact, so the bits match the unscaled spread wherever
+    # that is finite
+    shift = max(0, math.frexp(float(np.max(np.abs(values))))[1])
+    spread = np.std(np.ldexp(values, -shift), ddof=1) / math.sqrt(len(values))
+    stderr = math.ldexp(float(spread), shift)
     return Estimate(value=mean, stderr=stderr, samples=samples, seed=seed)

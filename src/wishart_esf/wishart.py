@@ -5,7 +5,9 @@ The symbolic route builds the cumulant sequence of the weighted squared trace
 ``tr[(D_y X D_x)(D_y X D_x)^T]``, assembles its moments through complete Bell
 polynomials, plugs 1,0,1,0,... umbrae into the weights, and lets the
 evaluation functional delete every monomial that does not contribute to an
-elementary symmetric function.  The closed-form route is one identity,
+elementary symmetric function.  The columns the mean does not touch share one
+falling-factorial umbra, and cumulants past the first, which those weights
+delete, are never built.  The closed-form route is one identity,
 ``E[e_i(W)] = sum_k (n-k)_(i-k) [t^k] e_i(Sigma + t M M^T)``, evaluated with
 the division-free characteristic polynomial.  The two agree exactly in
 rational regimes and to float precision where an SVD is unavoidable.
@@ -34,6 +36,7 @@ from .umbra import (
     UmbralPolynomial,
     deltas,
     evaluate,
+    falling,
     indeterminates,
     singletons,
 )
@@ -200,9 +203,13 @@ def _power(value, k: int, prune: bool):
     return value**k
 
 
-def _central_terms(k: int, yv: Sequence, xv: Sequence, theta: Sequence, prune: bool = True) -> UmbralPolynomial:
-    # (k-1)! 2^(k-1) * (sum_j x_j^(2k)) * (sum_l y_l^(2k) theta_l^k)
-    xs = UmbralPolynomial.zero()
+def _central_terms(
+    k: int, yv: Sequence, xv: Sequence, theta: Sequence, prune: bool = True, free=None
+) -> UmbralPolynomial:
+    # (k-1)! 2^(k-1) * (sum_j x_j^(2k)) * (sum_l y_l^(2k) theta_l^k); ``free``
+    # stands for sum x_j^2 over further delta columns, whose x_j^(2k) vanish
+    # for k >= 2, so it enters the first cumulant only
+    xs = UmbralPolynomial.zero() if free is None or k > 1 else free
     for x in xv:
         xs = xs + _power(x, 2 * k, prune)
     ys = UmbralPolynomial.zero()
@@ -359,6 +366,15 @@ def _delta_core(
     into both weight families.  Returns a scalar, or a polynomial in whatever
     symbolic latent-root weights were passed in.
 
+    Columns that the mean does not touch are exchangeable, and under delta
+    weights their sum ``sum_j x_j^2`` is the dot-product umbra ``n.chi`` of
+    Di Nardo & Senato (Eur. J. Combin. 27, 2006), with the falling factorials
+    as moments: one ``falling`` umbra stands for all of them, and only the
+    columns the mean touches keep a delta umbra each.  Every term of the
+    k-th cumulant carries some ``x_j^(2k)``, and the free columns' part of it
+    vanishes for k >= 2, so a cumulant whose column powers no delta umbra can
+    carry is never built.
+
     Rational inputs run on integer coefficients: with ``c`` the common
     denominator of the latent roots (and, with a mean, of ``sigma`` and
     ``m``), the k-th cumulant is homogeneous of degree ``2k`` under
@@ -375,12 +391,16 @@ def _delta_core(
         if m is not None:
             sigma = [[_times(x, scale * scale) for x in row] for row in sigma]
             m = [[_times(x, scale) for x in row] for row in m]
-    dp = deltas(p, prefix="dy")
-    dn = deltas(n, prefix="dx")
-    yv = _lift_all(dp)
+    touched = [j for j in range(n) if any(row[j] != 0 for row in m)] if m is not None else []
+    m = [[row[j] for j in touched] for row in m] if touched else None
+    dn = deltas(len(touched), prefix="dx")
+    yv = _lift_all(deltas(p, prefix="dy"))
     xv = _lift_all(dn)
+    free = falling(n - len(touched), name="fx")._lift() if len(touched) < n else None
     cumulants = [
-        _central_terms(k, yv, xv, theta) + _mean_terms(k, yv, xv, m, sigma)
+        _central_terms(k, yv, xv, theta, free=free) + _mean_terms(k, yv, xv, m, sigma)
+        if k == 1 or any(d.max_power >= 2 * k for d in dn)
+        else 0
         for k in range(1, i + 1)
     ]
     value = evaluate(complete_bell(cumulants))
@@ -421,8 +441,10 @@ def _umbral_central(params: WishartParams, i: int):
     value = _delta_core(params.n, params.p, theta, None, params.sigma, i)
     if symbolic:
         coeff = _extract_esf_multiple(value, params.theta_syms, i)
-        sums = linalg.power_sums(params.sigma, i)
-        esf_value = elementary_symmetric_from_power_sums(sums, i)
+        # e_i(sigma) = e_i(c sigma) / c^i with c sigma an integer matrix
+        c = math.lcm(*(x.denominator for row in params.sigma for x in row))
+        sums = linalg.power_sums([[int(c * x) for x in row] for row in params.sigma], i)
+        esf_value = Fraction(elementary_symmetric_from_power_sums(sums, i), c**i)
         return divide_by_factorial(coeff * esf_value, i)
     return divide_by_factorial(value.as_scalar(), i)
 

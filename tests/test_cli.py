@@ -461,6 +461,25 @@ def _run_in_process(argv: list[str]) -> tuple[int, str]:
 
 
 class TestJsonOutputProperty:
+    def test_huge_covariance_mc_report_is_valid_json(self, tmp_path):
+        def scaled_identity(scale):
+            rows = [[scale if r == c else 0.0 for c in range(3)] for r in range(3)]
+            return _write_csv(tmp_path / f"{scale}.csv", rows)
+
+        # e_3 of the samples near 1e153: squaring them overflows
+        argv = ["compute", "--mode", "float", "--method", "mc", "--n", "3", "--p", "3"]
+        argv += ["--i", "3", "--sigma", scaled_identity(1e51), "--samples", "1000", "--seed", "1"]
+        code, out = _run_in_process(argv)
+        assert code == EXIT_OK
+        (result,) = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert 0 < result["stderr"] < result["value"]
+        # standard errors near 1e156: compare combines two without squaring them
+        argv = ["compare", "--mode", "float", "--methods", "closed-form,mc", "--n", "3", "--p", "3"]
+        argv += ["--i", "3", "--sigma", scaled_identity(1e52), "--samples", "64", "--seed", "1"]
+        code, out = _run_in_process(argv)
+        assert code in (EXIT_OK, EXIT_STATISTICAL)
+        assert json.loads(out, parse_constant=_reject_constant)["results"]
+
     @given(
         float_models(),
         st.sampled_from(["closed-form", "umbral", "mc"]),

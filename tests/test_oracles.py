@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from wishart_esf.oracles import (
     Estimate,
     _batched_esf,
     _partial_pairing_expectation,
+    _summarize,
     mc_expected_esf,
     mc_trace_moment,
     wick_expected_esf,
@@ -204,6 +206,19 @@ class TestMonteCarlo:
     def test_non_positive_definite_rejected_before_sampling(self):
         with pytest.raises(ValueError):
             WishartParams(3, 2, ((1, 2), (2, 1)))
+
+    def test_stderr_of_huge_values_is_finite(self):
+        # e_3 near 1e153: squaring the values themselves overflows
+        sigma = tuple(tuple(1e51 if r == c else 0.0 for c in range(3)) for r in range(3))
+        est = mc_expected_esf(WishartParams(3, 3, sigma), 3, samples=1000, seed=1)
+        assert math.isfinite(est.stderr) and est.stderr > 0
+
+    def test_stderr_bits_match_the_unscaled_spread(self):
+        rng = np.random.default_rng(17)
+        for scale in (1e-3, 1.0, 3.0, 1e40):
+            values = scale * rng.gamma(2.0, size=4097)
+            est = _summarize(values, len(values), 0)
+            assert est.stderr == float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):

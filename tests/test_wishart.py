@@ -17,7 +17,7 @@ from wishart_esf.combinatorics import (
     falling_factorial,
 )
 from wishart_esf.oracles import wick_expected_esf, wick_trace_moment
-from wishart_esf.umbra import UmbralPolynomial, deltas, evaluate, gaussian, gf_coefficients
+from wishart_esf.umbra import UmbralPolynomial, deltas, evaluate, falling, gaussian, gf_coefficients
 from wishart_esf.wishart import (
     WishartParams,
     central_cumulant,
@@ -283,13 +283,20 @@ class TestUmbralRoute:
 
     def test_umbrae_of_a_finished_computation_are_freed(self, monkeypatch):
         refs = []
+        falling_refs = []
 
         def recording_deltas(count, prefix):
             fresh = deltas(count, prefix=prefix)
             refs.extend(weakref.ref(d) for d in fresh)
             return fresh
 
+        def recording_falling(count, name):
+            fresh = falling(count, name=name)
+            falling_refs.append(weakref.ref(fresh))
+            return fresh
+
         monkeypatch.setattr(wishart, "deltas", recording_deltas)
+        monkeypatch.setattr(wishart, "falling", recording_falling)
         cases = [
             WishartParams(3, 2, ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))),
             WishartParams(3, 2, linalg.identity(2), ((Fraction(1), 0, 0), (0, Fraction(2), 0))),
@@ -300,6 +307,7 @@ class TestUmbralRoute:
                 expected_esf_umbral(params, i)
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
+        assert falling_refs and all(ref() is None for ref in falling_refs)
 
     def test_rationally_split_covariance_stays_exact(self):
         sigma = ((Fraction(5), Fraction(2)), (Fraction(2), Fraction(5)))
@@ -383,6 +391,55 @@ def exact_umbral_instances(draw):
     sigma = tuple(tuple(s2 if r == c else Fraction(0) for c in range(p)) for r in range(p))
     m = rect_diag_matrix([draw(entries) for _ in range(p)], p, n)
     return WishartParams(n, p, sigma, m)
+
+
+class TestColumnCollapse:
+    """The columns the mean leaves untouched share one falling-factorial
+    umbra, and cumulants past the first are not built under delta weights."""
+
+    def test_central_p8_n10_equals_closed_form(self):
+        rng = Random(8)
+        for sigma in (rational_diag_spd(rng, 8), rational_full_spd(rng, 8)):
+            params = WishartParams(10, 8, sigma)
+            for i in range(1, 9):
+                assert expected_esf_umbral(params, i) == expected_esf_closed_form(params, i)
+
+    def test_scalar_identity_mean_with_untouched_columns(self):
+        # columns 2, 5 and 6 are free: one from a zero diagonal entry, two past p
+        s2 = Fraction(3, 2)
+        sigma = tuple(tuple(s2 if r == c else Fraction(0) for c in range(4)) for r in range(4))
+        m = rect_diag_matrix((Fraction(2), Fraction(0), Fraction(-1, 3), Fraction(5, 2)), 4, 6)
+        params = WishartParams(6, 4, sigma, m)
+        for i in range(1, 5):
+            value = expected_esf_umbral(params, i)
+            assert type(value) is Fraction and value == expected_esf_closed_form(params, i)
+
+    def test_float_general_noncentral_minor_sum(self):
+        # dense covariance and dense mean: every principal block runs the kernel
+        # on a rectangular-diagonal mean, whose columns past the block are free
+        sigma = ((2.0, 0.5, -0.25), (0.5, 1.5, 0.125), (-0.25, 0.125, 1.0))
+        m = ((1.0, 0.0, -0.5, 0.25), (0.5, 0.0, 1.0, -1.0), (0.0, 0.0, 0.75, 2.0))
+        params = WishartParams(4, 3, sigma, m)
+        assert params.sigma_scalar is None and not params.mean_is_zero
+        for i in range(1, 4):
+            u = expected_esf_umbral(params, i)
+            c = expected_esf_closed_form(params, i)
+            assert type(u) is float and abs(u - c) <= 1e-8 * abs(c)
+
+    def test_central_expansion_stays_small(self, monkeypatch):
+        # deterministic work guard: a delta umbra per column forms about
+        # 3.5 million operand term pairs here, the collapsed columns about 2,000
+        pairs = []
+        original = UmbralPolynomial.mul
+
+        def counting(self, other, prune=True):
+            pairs.append(len(self.terms()) * len(UmbralPolynomial.coerce(other).terms()))
+            return original(self, other, prune)
+
+        monkeypatch.setattr(UmbralPolynomial, "mul", counting)
+        params = WishartParams(10, 8, rational_diag_spd(Random(8), 8))
+        expected_esf_umbral(params, 8)
+        assert 0 < sum(pairs) <= 10_000
 
 
 class TestRouteAgreement:
