@@ -1,11 +1,12 @@
 """Scalar matrix helpers.
 
 Exact paths work on tuples of tuples holding ints / ``Fraction``s and never
-touch an eigensolver; elementary symmetric functions of latent roots come
-from one division-free characteristic polynomial, :func:`charpoly`.
-Float-only factorizations (SVD, symmetric inverse square root, Cholesky) are
-thin numpy wrappers that return plain Python floats and check orthogonality
-of the computed factors.
+touch an eigensolver.  Elementary symmetric functions of latent roots come
+from the division-free characteristic polynomial, :func:`charpoly`, for the
+closed form, and from the traces of the powers of a matrix polynomial,
+:func:`power_sums`, for the umbral route.  The Cholesky factor the Monte
+Carlo oracle samples with is a thin numpy wrapper; so are the SVD and the
+symmetric inverse square root, which no route calls any more.
 """
 
 from __future__ import annotations
@@ -137,6 +138,7 @@ def charpoly(a: Sequence[Sequence]) -> list:
     return [-c if k % 2 else c for k, c in enumerate(coeffs)]
 
 
+# kept for the benchmark tracer and the tests only; no library route calls it
 def principal_minor_sum(a: Sequence[Sequence], i: int):
     """Sum of all i-by-i principal minors, i.e. the i-th elementary symmetric
     function of the latent roots; 1 for ``i = 0``, 0 for ``i`` above the
@@ -155,14 +157,30 @@ def principal_minor_sum(a: Sequence[Sequence], i: int):
     return total
 
 
-def power_sums(a: Sequence[Sequence], kmax: int) -> list:
-    """Traces of matrix powers ``[tr(A), tr(A^2), ..., tr(A^kmax)]``."""
-    out = []
-    acc = a
-    for k in range(1, kmax + 1):
-        if k > 1:
-            acc = mat_mul(acc, a)
-        out.append(trace(acc))
+def power_sums(coeffs: Sequence[Sequence[Sequence]], kmax: int) -> list:
+    """Traces of the powers of the matrix polynomial ``A(t) = sum_d t^d A_d``,
+    given as ``coeffs = [A_0, A_1, ...]``: ``[tr A(t), ..., tr A(t)^kmax]``,
+    each a list of coefficients in ``t``, lowest degree first.  A plain
+    matrix ``A`` is ``[A]``.
+
+    Only the powers up to ``ceil(kmax / 2)`` are formed, since
+    ``tr(A^(a+b)) = sum_(r,c) (A^a)_(rc) (A^b)_(cr)``.
+    """
+    powers = [list(coeffs)]
+    while 2 * len(powers) < kmax:
+        terms = [[] for _ in range(len(powers[-1]) + len(coeffs) - 1)]
+        for a, x in enumerate(powers[-1]):
+            for b, y in enumerate(coeffs):
+                terms[a + b].append(mat_mul(x, y))
+        powers.append([tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats)) for mats in terms])
+    out = [[trace(c) for c in coeffs]]
+    for k in range(2, kmax + 1):
+        left, right = powers[(k + 1) // 2 - 1], powers[k // 2 - 1]
+        sums = [0] * (len(left) + len(right) - 1)
+        for a, x in enumerate(left):
+            for b, y in enumerate(right):
+                sums[a + b] += sum(u * v for row, col in zip(x, zip(*y)) for u, v in zip(row, col))
+        out.append(sums)
     return out
 
 
@@ -195,17 +213,6 @@ def is_symmetric(a: Sequence[Sequence], tol: float = 0.0) -> bool:
 
 def is_diagonal(a: Sequence[Sequence]) -> bool:
     return all(a[r][c] == 0 for r in range(len(a)) for c in range(len(a[0])) if r != c)
-
-
-def scalar_identity_value(a: Sequence[Sequence]):
-    """The common diagonal value if ``a`` is a scalar multiple of the
-    identity, else ``None``."""
-    if len(a) != len(a[0]) or not is_diagonal(a):
-        return None
-    first = a[0][0]
-    if any(a[i][i] != first for i in range(len(a))):
-        return None
-    return first
 
 
 def is_positive_definite(a: Sequence[Sequence]) -> bool:
@@ -253,6 +260,7 @@ def _divisors(n: int, limit: int = 4000) -> list[int] | None:
     return small + large[::-1]
 
 
+# kept for the benchmark tracer and the tests only; no library route calls it
 def rational_eigenvalues(a: Sequence[Sequence]) -> list[Fraction] | None:
     """All eigenvalues as exact rationals if the characteristic polynomial
     splits over the rationals, else ``None``.
@@ -323,6 +331,7 @@ def _require_orthogonal(q) -> None:
         raise ArithmeticError("orthogonality tolerance exceeded")
 
 
+# kept for the benchmark tracer and the tests only; no library route calls it
 def singular_values(m: Sequence[Sequence]) -> list[float]:
     """Singular values of a real matrix, largest first, orthogonality of the
     computed factors verified."""
@@ -335,6 +344,7 @@ def singular_values(m: Sequence[Sequence]) -> list[float]:
     return [float(x) for x in s]
 
 
+# kept for the benchmark tracer and the tests only; no library route calls it
 def sym_inv_sqrt(s: Sequence[Sequence]) -> tuple:
     """Symmetric inverse square root of a positive definite matrix."""
     import numpy as np

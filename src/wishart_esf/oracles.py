@@ -252,10 +252,10 @@ def _summarize(values, samples: int, seed: int) -> Estimate:
 
     mean = float(np.mean(values))
     # spread of the values divided by 2^shift, a power of two near their
-    # largest magnitude when that exceeds 1, so that squaring cannot overflow;
+    # largest magnitude, so that squaring can neither overflow nor underflow;
     # the scaling is exact, so the bits match the unscaled spread wherever
-    # that is finite
-    shift = max(0, math.frexp(float(np.max(np.abs(values))))[1])
+    # that neither overflows nor underflows
+    shift = math.frexp(float(np.max(np.abs(values))))[1]
     spread = np.std(np.ldexp(values, -shift), ddof=1) / math.sqrt(len(values))
     stderr = math.ldexp(float(spread), shift)
     return Estimate(value=mean, stderr=stderr, samples=samples, seed=seed)

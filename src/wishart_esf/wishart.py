@@ -1,16 +1,17 @@
 """Noncentral Wishart parameters, squared-trace cumulants, and the two routes
 to the expected elementary symmetric functions of the latent roots.
 
-The symbolic route builds the cumulant sequence of the weighted squared trace
-``tr[(D_y X D_x)(D_y X D_x)^T]``, assembles its moments through complete Bell
-polynomials, plugs 1,0,1,0,... umbrae into the weights, and lets the
-evaluation functional delete every monomial that does not contribute to an
-elementary symmetric function.  The columns the mean does not touch share one
-falling-factorial umbra, and cumulants past the first, which those weights
-delete, are never built.  The closed-form route is one identity,
-``E[e_i(W)] = sum_k (n-k)_(i-k) [t^k] e_i(Sigma + t M M^T)``, evaluated with
-the division-free characteristic polynomial.  The two agree exactly in
-rational regimes and to float precision where an SVD is unavoidable.
+Both routes use ``E[e_i(W)] = sum_k a_k [t^k] e_i(Sigma + t M M^T)``, where
+the coefficients ``a_k`` depend only on ``n`` and ``i``.  The umbral route
+reads them off the symbolic kernel run on a canonical problem: the cumulant
+sequence of the weighted squared trace ``tr[(D_y X D_x)(D_y X D_x)^T]``,
+assembled into moments through complete Bell polynomials, with 1,0,1,0,...
+umbrae plugged into the weights, so that the evaluation functional deletes
+every monomial that does not contribute to an elementary symmetric function.
+It takes ``[t^k] e_i`` from the traces of the powers of the polynomial
+matrix ``Sigma + t M M^T`` and Newton's identities.  The closed-form route
+uses ``a_k = (n-k)_(i-k)`` and the division-free characteristic polynomial.
+Both are exact, and correctly rounded in float mode.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from typing import Sequence
 from . import linalg
 from .combinatorics import (
     complete_bell,
-    divide_by_factorial,
     elementary_symmetric,
-    elementary_symmetric_from_power_sums,
     falling_factorial,
 )
 from .matrix import UmbralMatrix
@@ -118,25 +117,8 @@ class WishartParams:
         return "rational" if linalg.is_rational_matrix(self.sigma + (self.m or ())) else "float"
 
     @property
-    def mean_is_zero(self) -> bool:
-        return self.m is None or all(x == 0 for row in self.m for x in row)
-
-    @property
     def sigma_is_diagonal(self) -> bool:
         return linalg.is_diagonal(self.sigma)
-
-    @property
-    def sigma_scalar(self):
-        """sigma^2 if the covariance is a scalar multiple of the identity."""
-        return linalg.scalar_identity_value(self.sigma)
-
-    @property
-    def mean_is_rect_diagonal(self) -> bool:
-        if self.m is None:
-            return False
-        return all(
-            self.m[r][c] == 0 for r in range(self.p) for c in range(self.n) if r != c
-        )
 
     @cached_property
     def y_vars(self) -> list[Indeterminate]:
@@ -151,33 +133,6 @@ class WishartParams:
         if hasattr(self, "_theta_syms"):
             return self._theta_syms
         return indeterminates("th", self.p)
-
-    def resolve_theta(self) -> tuple[list, bool]:
-        """Latent-root weights for the central cumulant: exact numbers when
-        the covariance is diagonal or splits rationally, floats otherwise for
-        float inputs, and symbolic indeterminates as the exact fallback.
-
-        Returns ``(values, symbolic_flag)``.  Resolved on first use and kept
-        with the parameters.
-        """
-        values, symbolic = self._latent_roots
-        return list(values), symbolic
-
-    @cached_property
-    def _latent_roots(self) -> tuple[tuple, bool]:
-        if self.symbolic_mode:
-            return tuple(s._lift() for s in self.theta_syms), False
-        if self.sigma_is_diagonal:
-            return tuple(self.sigma[i][i] for i in range(self.p)), False
-        if self.mode == "rational":
-            eigs = linalg.rational_eigenvalues(self.sigma)
-            if eigs is not None:
-                return tuple(eigs), False
-            return tuple(s._lift() for s in self.theta_syms), True
-        import numpy as np
-
-        w = np.linalg.eigvalsh(np.array(linalg.to_float(self.sigma), dtype=float))
-        return tuple(float(x) for x in w), False
 
     def omega(self) -> tuple:
         """Noncentrality matrix ``sigma^{-1} M M^T``."""
@@ -204,12 +159,10 @@ def _power(value, k: int, prune: bool):
 
 
 def _central_terms(
-    k: int, yv: Sequence, xv: Sequence, theta: Sequence, prune: bool = True, free=None
+    k: int, yv: Sequence, xv: Sequence, theta: Sequence, prune: bool = True
 ) -> UmbralPolynomial:
-    # (k-1)! 2^(k-1) * (sum_j x_j^(2k)) * (sum_l y_l^(2k) theta_l^k); ``free``
-    # stands for sum x_j^2 over further delta columns, whose x_j^(2k) vanish
-    # for k >= 2, so it enters the first cumulant only
-    xs = UmbralPolynomial.zero() if free is None or k > 1 else free
+    # (k-1)! 2^(k-1) * (sum_j x_j^(2k)) * (sum_l y_l^(2k) theta_l^k)
+    xs = UmbralPolynomial.zero()
     for x in xv:
         xs = xs + _power(x, 2 * k, prune)
     ys = UmbralPolynomial.zero()
@@ -294,10 +247,14 @@ def _mean_terms(
 def central_cumulant(params: WishartParams, k: int) -> UmbralPolynomial:
     """k-th cumulant of the weighted squared trace for the central part: a
     polynomial in the weight indeterminates ``y``, ``x`` with latent-root
-    coefficients."""
+    coefficients, the diagonal of a diagonal covariance and the symbols
+    ``theta_syms`` otherwise."""
     if k < 1:
         raise ValueError("cumulant order must be positive")
-    theta, symbolic = params.resolve_theta()
+    if params.sigma_is_diagonal:
+        theta = [params.sigma[l][l] for l in range(params.p)]
+    else:
+        theta = _lift_all(params.theta_syms)
     yv = _lift_all(params.y_vars)
     xv = _lift_all(params.x_vars)
     return _central_terms(k, yv, xv, theta)
@@ -336,8 +293,7 @@ def guard_order(route):
     Rejects symbolic parameter sets and negative orders, answers ``i = 0``
     (one) and ``i > p`` (zero) without calling the route, and returns a value
     whose type follows ``params.mode``: a float in float mode, a ``Fraction``
-    in rational mode unless the route had to rotate through a float
-    factorization.
+    in rational mode.
     """
 
     @functools.wraps(route)
@@ -347,155 +303,87 @@ def guard_order(route):
         if i < 0:
             raise ValueError("order must be nonnegative")
         value = route(params, i) if 1 <= i <= params.p else int(i == 0)
-        if params.mode == "float" or isinstance(value, float):
-            return float(value)
-        return Fraction(value)
+        return float(value) if params.mode == "float" else Fraction(value)
 
     return guarded
 
 
-def _delta_core(
-    n: int,
-    p: int,
-    theta: Sequence,
-    m: Sequence[Sequence] | None,
-    sigma: Sequence[Sequence],
-    i: int,
-):
-    """Evaluation of the Bell combination with fresh 1,0,1,0,... umbrae plugged
-    into both weight families.  Returns a scalar, or a polynomial in whatever
-    symbolic latent-root weights were passed in.
+def _canonical_kernel(n: int, i: int, j: int) -> int:
+    """``i! E[e_i(W)]`` for the canonical problem: identity covariance, ``i``
+    rows, and the ``i x n`` mean with ones at the first ``j`` diagonal places.
 
-    Columns that the mean does not touch are exchangeable, and under delta
-    weights their sum ``sum_j x_j^2`` is the dot-product umbra ``n.chi`` of
-    Di Nardo & Senato (Eur. J. Combin. 27, 2006), with the falling factorials
-    as moments: one ``falling`` umbra stands for all of them, and only the
-    columns the mean touches keep a delta umbra each.  Every term of the
-    k-th cumulant carries some ``x_j^(2k)``, and the free columns' part of it
-    vanishes for k >= 2, so a cumulant whose column powers no delta umbra can
-    carry is never built.
-
-    Rational inputs run on integer coefficients: with ``c`` the common
-    denominator of the latent roots (and, with a mean, of ``sigma`` and
-    ``m``), the k-th cumulant is homogeneous of degree ``2k`` under
-    ``theta, sigma -> c^2 theta, c^2 sigma`` and ``m -> c m``, so the
-    scaled Bell combination is ``c^(2i)`` times the original.
+    Under 1,0,1,0,... weights every cumulant past the first vanishes, so the
+    Bell combination is ``c_1^i``.  Each of the ``j`` mean pairs keeps a delta
+    umbra for its row and one for its column.  The mean-free rows are
+    exchangeable, and so are the free columns: the sum of the squared
+    weights of ``k`` of them is the dot-product umbra ``k.chi`` of Di Nardo &
+    Senato (Eur. J. Combin. 27, 2006), one ``falling(k)`` umbra with the
+    falling factorials ``(k)_r`` as moments.
     """
-    numeric = [x for x in theta if not isinstance(x, UmbralPolynomial)]
-    if m is not None:
-        numeric += [x for rows in (sigma, m) for row in rows for x in row]
-    scale = 1
-    if all(isinstance(x, (int, Fraction)) for x in numeric):
-        scale = math.lcm(*(Fraction(x).denominator for x in numeric))
-        theta = [_times(x, scale * scale) for x in theta]
-        if m is not None:
-            sigma = [[_times(x, scale * scale) for x in row] for row in sigma]
-            m = [[_times(x, scale) for x in row] for row in m]
-    touched = [j for j in range(n) if any(row[j] != 0 for row in m)] if m is not None else []
-    m = [[row[j] for j in touched] for row in m] if touched else None
-    dn = deltas(len(touched), prefix="dx")
-    yv = _lift_all(deltas(p, prefix="dy"))
-    xv = _lift_all(dn)
-    free = falling(n - len(touched), name="fx")._lift() if len(touched) < n else None
-    cumulants = [
-        _central_terms(k, yv, xv, theta, free=free) + _mean_terms(k, yv, xv, m, sigma)
-        if k == 1 or any(d.max_power >= 2 * k for d in dn)
-        else 0
-        for k in range(1, i + 1)
-    ]
-    value = evaluate(complete_bell(cumulants))
-    return value.scale(Fraction(1, scale ** (2 * i)))
+    ys = [y.mul(y) for y in _lift_all(deltas(j, prefix="dy"))]
+    xs = [x.mul(x) for x in _lift_all(deltas(j, prefix="dx"))]
+    pairs = sum((y.mul(x) for y, x in zip(ys, xs)), UmbralPolynomial.zero())
+    if i > j:
+        ys.append(falling(i - j, name="fy")._lift())
+    if n > j:
+        xs.append(falling(n - j, name="fx")._lift())
+    c1 = sum(ys, UmbralPolynomial.zero()).mul(sum(xs, UmbralPolynomial.zero())) + pairs
+    return evaluate(complete_bell([c1] + [0] * (i - 1))).as_scalar()
 
 
-def _times(x, s: int):
-    """``s x`` as an int for a rational ``x`` that ``s`` clears, or a scaled
-    polynomial."""
-    if isinstance(x, UmbralPolynomial):
-        return x.scale(s)
-    return (x * s).numerator
-
-
-def _extract_esf_multiple(value: UmbralPolynomial, theta: Sequence[Indeterminate], i: int):
-    """Verify that an evaluated kernel result is a constant multiple of the
-    i-th elementary symmetric polynomial in the given symbols and return that
-    constant.  Anything else is a kernel defect and raises."""
-    expected_subsets = {frozenset(c) for c in itertools.combinations(theta, i)}
-    seen: dict[frozenset, object] = {}
-    for (ub, ind), c in value.terms():
-        if ub:
-            raise ArithmeticError("kernel result still contains formal variables")
-        subset = frozenset(v for v, _ in ind)
-        if subset not in expected_subsets or any(e != 1 for _, e in ind):
-            raise ArithmeticError("kernel result is not an elementary symmetric multiple")
-        seen[subset] = c
-    if len(seen) != len(expected_subsets):
-        raise ArithmeticError("kernel result misses elementary symmetric monomials")
-    coeffs = set(seen.values())
-    if len(coeffs) != 1:
-        raise ArithmeticError("kernel result has uneven coefficients")
-    return coeffs.pop()
-
-
-def _umbral_central(params: WishartParams, i: int):
-    theta, symbolic = params.resolve_theta()
-    value = _delta_core(params.n, params.p, theta, None, params.sigma, i)
-    if symbolic:
-        coeff = _extract_esf_multiple(value, params.theta_syms, i)
-        # e_i(sigma) = e_i(c sigma) / c^i with c sigma an integer matrix
-        c = math.lcm(*(x.denominator for row in params.sigma for x in row))
-        sums = linalg.power_sums([[int(c * x) for x in row] for row in params.sigma], i)
-        esf_value = Fraction(elementary_symmetric_from_power_sums(sums, i), c**i)
-        return divide_by_factorial(coeff * esf_value, i)
-    return divide_by_factorial(value.as_scalar(), i)
-
-
-def _scaled_identity_core(n: int, p: int, s2, mvals: Sequence, i: int):
-    sigma = tuple(tuple(s2 if r == c else 0 for c in range(p)) for r in range(p))
-    m = tuple(
-        tuple(mvals[r] if (r == c and r < len(mvals)) else 0 for c in range(n))
-        for r in range(p)
-    )
-    value = _delta_core(n, p, [s2] * p, m, sigma, i)
-    return divide_by_factorial(value.as_scalar(), i)
-
-
-def _umbral_scaled_identity(params: WishartParams, i: int, s2):
-    if params.mean_is_rect_diagonal:
-        mvals = [params.m[l][l] for l in range(params.p)]
-        return _scaled_identity_core(params.n, params.p, s2, mvals, i)
-    mvals = linalg.singular_values(params.m)
-    return _scaled_identity_core(params.n, params.p, float(s2), mvals, i)
-
-
-def _umbral_minor_sum(params: WishartParams, i: int):
-    """Sum over the i x i principal blocks: rotate each block to identity
-    covariance and weight its scaled-identity value by the block's det."""
-    total = 0.0
-    for subset in itertools.combinations(range(params.p), i):
-        sigma = linalg.submatrix(params.sigma, subset, subset)
-        m = tuple(params.m[r] for r in subset)
-        rotated = linalg.mat_mul(linalg.sym_inv_sqrt(sigma), linalg.to_float(m))
-        core = _scaled_identity_core(params.n, i, 1.0, linalg.singular_values(rotated), i)
-        total += float(linalg.det(sigma)) * core
-    return total
+def _esf_from_traces(sums: list[list[int]], i: int) -> list[int]:
+    """Coefficients, lowest degree first, of ``e_i`` of the latent roots of an
+    integer matrix polynomial, from the traces ``sums`` of its first ``i``
+    powers by Newton's identities ``k e_k = sum_r (-1)^(r-1) e_(k-r) p_r``;
+    ``e_k`` has integer coefficients, so the division by ``k`` is exact."""
+    degree = len(sums[0]) - 1
+    e = [[1]]
+    for k in range(1, i + 1):
+        acc = [0] * (k * degree + 1)
+        for r in range(1, k + 1):
+            sign = 1 if r % 2 else -1
+            for u, x in enumerate(e[k - r]):
+                for v, y in enumerate(sums[r - 1]):
+                    acc[u + v] += sign * x * y
+        e.append([c // k for c in acc])
+    return e[i]
 
 
 @guard_order
 def expected_esf_umbral(params: WishartParams, i: int):
     """Expected i-th elementary symmetric function of the latent roots of
-    ``W = X X^T``, via the symbolic kernel.
+    ``W = X X^T`` via the symbolic kernel, one path for every input:
+    ``E[e_i(W)] = s^-i sum_k a_k [t^k] e_i(A + t B)``, where ``A = s Sigma``
+    and ``B = s M M^T`` are integer matrices and ``a_k`` depends on ``n``
+    and ``i`` only.
 
-    Exact (``Fraction``) whenever the inputs are rational and no singular
-    value decomposition is needed: central models with any rational
-    covariance, and scalar-identity covariance with a rectangular-diagonal
-    mean.  Other regimes rotate through float SVDs.
+    The kernel run on the canonical problem with ``j`` unit mean pairs gives
+    ``v_j = i! sum_k C(j, k) a_k``, since ``e_i(I + t diag(1^j, 0)) =
+    (1 + t)^j``; binomial inversion recovers ``i! a_k`` for ``k`` up to the
+    degree of ``e_i(A + t B)`` in ``t``, so central input needs one run.
+    ``[t^k] e_i`` comes from the traces of the powers of ``A + t B`` and
+    Newton's identities, with no eigensolver and no factorization.  Float
+    input is cleared like rational input, so the value is exact, and
+    correctly rounded in float mode.
     """
-    if params.mean_is_zero:
-        return _umbral_central(params, i)
-    s2 = params.sigma_scalar
-    if s2 is not None:
-        return _umbral_scaled_identity(params, i, s2)
-    return _umbral_minor_sum(params, i)
+    n, p = params.n, params.p
+    m = [[Fraction(x).as_integer_ratio() for x in row] for row in params.m or ((0,) * n,) * p]
+    sigma = [[Fraction(x).as_integer_ratio() for x in row] for row in params.sigma]
+    # clear the mean's denominators first, so that M M^T is an integer product
+    d = math.lcm(*(q for row in m for _, q in row))
+    mi = [[u * (d // q) for u, q in row] for row in m]
+    s = math.lcm(d * d, *(q for row in sigma for _, q in row))
+    a = [[u * (s // q) for u, q in row] for row in sigma]
+    b = [[s // (d * d) * x for x in row] for row in linalg.mat_mul(mi, linalg.transpose(mi))]
+    esf = _esf_from_traces(linalg.power_sums([a, b] if any(map(any, b)) else [a], i), i)
+    while esf[-1] == 0:
+        esf.pop()
+    values = [_canonical_kernel(n, i, j) for j in range(len(esf))]
+    total = 0
+    for k, c in enumerate(esf):
+        # i! a_k by binomial inversion of the runs j <= k
+        total += c * sum((-1) ** (k - j) * math.comb(k, j) * values[j] for j in range(k + 1))
+    return Fraction(total, math.factorial(i) * s**i)
 
 
 # -- closed forms -------------------------------------------------------------

@@ -345,6 +345,26 @@ class TestCompare:
         assert code == EXIT_OK
 
 
+class TestNumpyFree:
+    def test_float_dense_comparison_imports_no_numpy(self, tmp_path):
+        # both exact routes clear float input to Fraction: no eigensolver, SVD
+        # or numpy on a dense float covariance and mean
+        sigma = [[2.0, 0.5, -0.25], [0.5, 1.5, 0.125], [-0.25, 0.125, 1.0]]
+        mean = [[1.0, 0.3, -0.5, 0.25], [0.5, -0.7, 1.0, -1.0], [0.1, 0.2, 0.75, 2.0]]
+        argv = ["compare", "--methods", "closed-form,umbral", "--n", "4", "--p", "3"]
+        argv += ["--i", "1..3", "--no-timing", "--sigma", _write_csv(tmp_path / "s.csv", sigma)]
+        argv += ["--m", _write_csv(tmp_path / "m.csv", mean)]
+        script = (
+            "import sys\n"
+            "from wishart_esf import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
+
+
 class TestTable:
     def test_table_lists_all_methods(self, identity2, capsys):
         code = main(
@@ -479,6 +499,20 @@ class TestJsonOutputProperty:
         code, out = _run_in_process(argv)
         assert code in (EXIT_OK, EXIT_STATISTICAL)
         assert json.loads(out, parse_constant=_reject_constant)["results"]
+
+    def test_tiny_covariance_mc_comparison_passes(self, tmp_path):
+        # e_3 near 6e-180: a standard error that underflowed to 0 would demand
+        # equal values and fail the comparison
+        rows = [[1e-60 if r == c else 0.0 for c in range(3)] for r in range(3)]
+        sigma = _write_csv(tmp_path / "tiny.csv", rows)
+        common = ["--mode", "float", "--n", "3", "--p", "3", "--i", "3", "--sigma", sigma]
+        common += ["--samples", "1000", "--seed", "1"]
+        code, out = _run_in_process(["compute", "--method", "mc", *common])
+        assert code == EXIT_OK
+        (result,) = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert 0 < result["stderr"] < result["value"]
+        code, out = _run_in_process(["compare", "--methods", "closed-form,mc", *common])
+        assert code == EXIT_OK and json.loads(out)["passed"] is True
 
     @given(
         float_models(),

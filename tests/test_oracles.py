@@ -213,6 +213,13 @@ class TestMonteCarlo:
         est = mc_expected_esf(WishartParams(3, 3, sigma), 3, samples=1000, seed=1)
         assert math.isfinite(est.stderr) and est.stderr > 0
 
+    def test_stderr_of_tiny_values_is_positive(self):
+        # e_3 near 6e-180: the squared deviations of the values underflow
+        sigma = tuple(tuple(1e-60 if r == c else 0.0 for c in range(3)) for r in range(3))
+        est = mc_expected_esf(WishartParams(3, 3, sigma), 3, samples=1000, seed=1)
+        assert 0 < est.stderr < est.value
+        assert abs(est.value - 6e-180) <= 4 * est.stderr
+
     def test_stderr_bits_match_the_unscaled_spread(self):
         rng = np.random.default_rng(17)
         for scale in (1e-3, 1.0, 3.0, 1e40):

@@ -106,6 +106,21 @@ class TestCumulants:
                 want = want + x[j] ** 2 * y[l] ** 2 * th[l]
         assert q1 == want
 
+    def test_central_cumulant_of_dense_covariance_prints_theta(self):
+        # latent roots are never computed: a dense covariance, even one whose
+        # roots are rational (7 and 3 here) or float, keeps its theta symbols
+        split = ((Fraction(5), Fraction(2)), (Fraction(2), Fraction(5)))
+        for sigma in (split, ((2.0, 0.5), (0.5, 1.0))):
+            params = WishartParams(3, 2, sigma)
+            y, x, th = params.y_vars, params.x_vars, params.theta_syms
+            want = UmbralPolynomial.zero()
+            for j in range(3):
+                for l in range(2):
+                    want = want + x[j] ** 2 * y[l] ** 2 * th[l]
+            q1 = central_cumulant(params, 1)
+            assert q1 == want
+            assert str(q1) == str(want) and "th1" in str(q1)
+
     def test_central_cumulant_at_unit_weights(self):
         n, p = 3, 2
         params = WishartParams(n, p, linalg.identity(p))
@@ -276,6 +291,19 @@ class TestUmbralRoute:
         assert expected_esf_umbral(params, 1) == 10
         assert wick_expected_esf(params, 1) == 10
 
+    def test_kernel_coefficients_are_falling_factorials(self):
+        # the canonical runs give v_j = i! sum_k C(j, k) a_k; inverting the
+        # binomial transform must give a_k = i! (n-k)_(i-k)
+        for n in range(1, 11):
+            for i in range(1, min(n, 6) + 1):
+                v = [wishart._canonical_kernel(n, i, j) for j in range(i + 1)]
+                a = [
+                    sum((-1) ** (k - j) * math.comb(k, j) * v[j] for j in range(k + 1))
+                    for k in range(i + 1)
+                ]
+                want = [math.factorial(i) * falling_factorial(n - k, i - k) for k in range(i + 1)]
+                assert a == want, (n, i)
+
     def test_orders_outside_range(self):
         params = WishartParams(3, 2, linalg.identity(2))
         assert expected_esf_umbral(params, 0) == 1
@@ -312,28 +340,7 @@ class TestUmbralRoute:
     def test_rationally_split_covariance_stays_exact(self):
         sigma = ((Fraction(5), Fraction(2)), (Fraction(2), Fraction(5)))
         params = WishartParams(4, 2, sigma)
-        assert params.resolve_theta() == ([Fraction(7), Fraction(3)], False)
         assert expected_esf_umbral(params, 2) == falling_factorial(4, 2) * 21
-
-    def test_latent_roots_resolved_once_and_not_at_construction(self, monkeypatch):
-        calls = []
-        original = linalg.rational_eigenvalues
-
-        def counting(a):
-            calls.append(a)
-            return original(a)
-
-        monkeypatch.setattr(linalg, "rational_eigenvalues", counting)
-        sigma = ((Fraction(5), Fraction(2), 0), (Fraction(2), Fraction(5), 0), (0, 0, Fraction(3)))
-        params = WishartParams(4, 3, sigma)
-        assert calls == []
-        profile = [expected_esf_umbral(params, i) for i in range(1, 4)]
-        assert len(calls) == 1
-        assert profile == [expected_esf_closed_form(params, i) for i in range(1, 4)]
-        # the cached roots are not shared with callers
-        params.resolve_theta()[0].clear()
-        assert params.resolve_theta() == ([Fraction(7), Fraction(3), Fraction(3)], False)
-        assert len(calls) == 1
 
 
 class TestClosedForm:
@@ -373,23 +380,42 @@ class TestClosedForm:
 
 
 @st.composite
-def exact_umbral_instances(draw):
-    """Rational parameters in the regimes where the kernel route is exact:
-    central with a dense covariance, or scalar-identity covariance with a
-    rectangular-diagonal mean."""
+def rational_instances(draw):
+    """Rational parameters in every regime: diagonal, scalar-identity or dense
+    covariance, with a zero, rectangular-diagonal, rank-1, zero-row or dense
+    mean."""
     p = draw(st.integers(1, 3))
     n = draw(st.integers(p, p + 2))
     entries = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-    if draw(st.booleans()):
-        low = [[draw(entries) for _ in range(p)] for _ in range(p)]
-        sigma = tuple(
-            tuple(sum(low[k][r] * low[k][c] for k in range(p)) + (r == c) for c in range(p))
-            for r in range(p)
-        )
-        return WishartParams(n, p, sigma)
+    low = [[draw(entries) for _ in range(p)] for _ in range(p)]
+    dense = tuple(
+        tuple(sum(low[k][r] * low[k][c] for k in range(p)) + (r == c) for c in range(p))
+        for r in range(p)
+    )
     s2 = draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
-    sigma = tuple(tuple(s2 if r == c else Fraction(0) for c in range(p)) for r in range(p))
-    m = rect_diag_matrix([draw(entries) for _ in range(p)], p, n)
+    sigma = draw(
+        st.sampled_from(
+            [
+                dense,
+                tuple(tuple(s2 if r == c else 0 for c in range(p)) for r in range(p)),
+                tuple(tuple(dense[r][c] if r == c else 0 for c in range(p)) for r in range(p)),
+            ]
+        )
+    )
+    full = [[draw(entries) for _ in range(n)] for _ in range(p)]
+    u = [draw(entries) for _ in range(p)]
+    zero_row = draw(st.integers(0, p - 1))
+    m = draw(
+        st.sampled_from(
+            [
+                None,
+                rect_diag_matrix([draw(entries) for _ in range(p)], p, n),
+                tuple(tuple(u[r] * full[0][c] for c in range(n)) for r in range(p)),
+                tuple(tuple(0 if r == zero_row else x for x in full[r]) for r in range(p)),
+                tuple(map(tuple, full)),
+            ]
+        )
+    )
     return WishartParams(n, p, sigma, m)
 
 
@@ -415,20 +441,18 @@ class TestColumnCollapse:
             assert type(value) is Fraction and value == expected_esf_closed_form(params, i)
 
     def test_float_general_noncentral_minor_sum(self):
-        # dense covariance and dense mean: every principal block runs the kernel
-        # on a rectangular-diagonal mean, whose columns past the block are free
+        # dense covariance and a dense mean with a zero column: both routes are
+        # exact on the float inputs, so both values are correctly rounded
         sigma = ((2.0, 0.5, -0.25), (0.5, 1.5, 0.125), (-0.25, 0.125, 1.0))
         m = ((1.0, 0.0, -0.5, 0.25), (0.5, 0.0, 1.0, -1.0), (0.0, 0.0, 0.75, 2.0))
         params = WishartParams(4, 3, sigma, m)
-        assert params.sigma_scalar is None and not params.mean_is_zero
         for i in range(1, 4):
             u = expected_esf_umbral(params, i)
-            c = expected_esf_closed_form(params, i)
-            assert type(u) is float and abs(u - c) <= 1e-8 * abs(c)
+            assert type(u) is float and u == expected_esf_closed_form(params, i)
 
     def test_central_expansion_stays_small(self, monkeypatch):
         # deterministic work guard: a delta umbra per column forms about
-        # 3.5 million operand term pairs here, the collapsed columns about 2,000
+        # 3.5 million operand term pairs here, the collapsed rows and columns 8
         pairs = []
         original = UmbralPolynomial.mul
 
@@ -443,7 +467,7 @@ class TestColumnCollapse:
 
 
 class TestRouteAgreement:
-    @given(exact_umbral_instances())
+    @given(rational_instances())
     @settings(max_examples=25, deadline=None)
     def test_closed_form_equals_umbral_exactly(self, params):
         for i in range(1, params.p + 1):
@@ -520,6 +544,8 @@ class TestRouteAgreement:
                 assert expected_esf_umbral(params, i) == expected_esf_closed_form(params, i)
 
     def test_float_svd_regimes_agree_to_tolerance(self, rng):
+        # dense float covariance and mean: both routes are exact on the float
+        # inputs, so both give the correctly rounded value
         from conftest import float_matrix, float_spd
 
         for _ in range(3):
@@ -530,8 +556,38 @@ class TestRouteAgreement:
             params = WishartParams(n, p, sigma, m)
             for i in range(1, p + 1):
                 u = expected_esf_umbral(params, i)
-                c = expected_esf_closed_form(params, i)
-                assert abs(u - c) <= 1e-8 * max(1.0, abs(u), abs(c))
+                assert type(u) is float and u == expected_esf_closed_form(params, i)
+
+    def test_rational_general_noncentral_is_exact(self, rng):
+        for _ in range(3):
+            p = rng.randint(2, 4)
+            n = rng.randint(p, p + 2)
+            params = WishartParams(n, p, rational_full_spd(rng, p), rational_matrix(rng, p, n))
+            for i in range(1, p + 1):
+                value = expected_esf_umbral(params, i)
+                assert type(value) is Fraction and value == expected_esf_closed_form(params, i)
+
+    def test_no_factorization_on_any_regime(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the umbral route called a factorization")
+
+        for name in ("rational_eigenvalues", "singular_values", "sym_inv_sqrt"):
+            monkeypatch.setattr(linalg, name, refuse)
+        rng = Random(3)
+        dense = rational_full_spd(rng, 3)
+        scalar = tuple(tuple(Fraction(2) if r == c else 0 for c in range(3)) for r in range(3))
+        means = (None, rect_diag_matrix((1, 0, Fraction(1, 2)), 3, 4), rational_matrix(rng, 3, 4))
+        for sigma in (rational_diag_spd(rng, 3), scalar, dense):
+            for m in means:
+                for floats in (False, True):
+                    if floats:
+                        sigma_in = [[float(x) for x in row] for row in sigma]
+                        m_in = m and [[float(x) for x in row] for row in m]
+                    else:
+                        sigma_in, m_in = sigma, m
+                    params = WishartParams(4, 3, sigma_in, m_in)
+                    for i in range(4):
+                        assert expected_esf_umbral(params, i) == expected_esf_closed_form(params, i)
 
 
 class TestQuadraticFormCumulants:
