@@ -68,18 +68,6 @@ class Partition:
         """Number of parts counted with multiplicity."""
         return sum(mult for _, mult in self.parts)
 
-    def multiplicity(self, part: int) -> int:
-        for q, mult in self.parts:
-            if q == part:
-                return mult
-        return 0
-
-    def as_list(self) -> list[int]:
-        out: list[int] = []
-        for part, mult in self.parts:
-            out.extend([part] * mult)
-        return out
-
     def __str__(self) -> str:
         inner = " ".join(f"{k}^{r}" if r > 1 else str(k) for k, r in self.parts)
         return f"({inner})"

@@ -89,6 +89,7 @@ def det(a: Sequence[Sequence]):
     return result
 
 
+# kept for the benchmark tracer and the tests only; no library route calls it
 def inverse(a: Sequence[Sequence]) -> tuple:
     """Gauss-Jordan inverse; raises on singular input."""
     n = len(a)

@@ -1,6 +1,5 @@
-"""Dense matrices over the umbral polynomial ring and their structural
-operators: products, trace, Kronecker product, vec, Hadamard, diagonal
-builders, and a desk-scale determinant.
+"""Dense matrices over the umbral polynomial ring: products, powers,
+transpose, trace, diagonal builders, and a desk-scale determinant.
 """
 
 from __future__ import annotations
@@ -9,9 +8,9 @@ import itertools
 from typing import Sequence
 
 from .combinatorics import permutation_sign
-from .umbra import Umbra, UmbralPolynomial
+from .umbra import UmbralPolynomial
 
-__all__ = ["UmbralMatrix", "kron", "hadamard", "vec", "vec_inverse"]
+__all__ = ["UmbralMatrix"]
 
 _DET_LIMIT = 6
 
@@ -50,35 +49,14 @@ class UmbralMatrix:
         return cls(k, k, [1 if r == c else 0 for r in range(k) for c in range(k)])
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "UmbralMatrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
     def diag(cls, values: Sequence) -> "UmbralMatrix":
         k = len(values)
         return cls(k, k, [values[r] if r == c else 0 for r in range(k) for c in range(k)])
-
-    @classmethod
-    def rect_diag(cls, values: Sequence, rows: int, cols: int) -> "UmbralMatrix":
-        """Rectangular matrix with ``values`` on the equal-index entries."""
-        if len(values) > min(rows, cols):
-            raise ValueError("too many diagonal values")
-        data = [[0] * cols for _ in range(rows)]
-        for i, v in enumerate(values):
-            data[i][i] = v
-        return cls.from_rows(data)
-
-    @classmethod
-    def diag_umbrae(cls, umbrae: Sequence[Umbra]) -> "UmbralMatrix":
-        return cls.diag(list(umbrae))
 
     # -- access ---------------------------------------------------------------
 
     def get(self, r: int, c: int) -> UmbralPolynomial:
         return self._entries[r * self.cols + c]
-
-    def entries(self) -> tuple:
-        return self._entries
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -133,41 +111,6 @@ class UmbralMatrix:
     def scale(self, c) -> "UmbralMatrix":
         return UmbralMatrix(self.rows, self.cols, [e * c for e in self._entries])
 
-    def hadamard(self, other: "UmbralMatrix") -> "UmbralMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in entrywise product")
-        return UmbralMatrix(
-            self.rows, self.cols, [a.mul(b) for a, b in zip(self._entries, other._entries)]
-        )
-
-    def kron(self, other: "UmbralMatrix") -> "UmbralMatrix":
-        """Kronecker product: block matrix of ``self[r][c] * other``."""
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        data = [[None] * cols for _ in range(rows)]
-        for r in range(self.rows):
-            for c in range(self.cols):
-                block = other.scale_by_poly(self.get(r, c))
-                for br in range(other.rows):
-                    for bc in range(other.cols):
-                        data[r * other.rows + br][c * other.cols + bc] = block.get(br, bc)
-        return UmbralMatrix.from_rows(data)
-
-    def scale_by_poly(self, p: UmbralPolynomial) -> "UmbralMatrix":
-        return UmbralMatrix(self.rows, self.cols, [e.mul(p) for e in self._entries])
-
-    def vec(self) -> list[UmbralPolynomial]:
-        """Column-stacking: columns laid out underneath each other, first
-        column first."""
-        return [self.get(r, c) for c in range(self.cols) for r in range(self.rows)]
-
-    @classmethod
-    def vec_inverse(cls, values: Sequence, rows: int, cols: int) -> "UmbralMatrix":
-        if len(values) != rows * cols:
-            raise ValueError("length mismatch in vec inverse")
-        data = [[values[c * rows + r] for c in range(cols)] for r in range(rows)]
-        return cls.from_rows(data)
-
     def det(self) -> UmbralPolynomial:
         """Signed permutation-sum determinant; exact over the ring.
 
@@ -185,10 +128,6 @@ class UmbralMatrix:
             acc = acc + term.scale(permutation_sign(perm))
         return acc
 
-    def evaluated(self) -> "UmbralMatrix":
-        """Entrywise application of the evaluation functional."""
-        return UmbralMatrix(self.rows, self.cols, [e.evaluate() for e in self._entries])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, UmbralMatrix):
             return NotImplemented
@@ -202,18 +141,3 @@ class UmbralMatrix:
 
     __repr__ = __str__
 
-
-def kron(a: UmbralMatrix, b: UmbralMatrix) -> UmbralMatrix:
-    return a.kron(b)
-
-
-def hadamard(a: UmbralMatrix, b: UmbralMatrix) -> UmbralMatrix:
-    return a.hadamard(b)
-
-
-def vec(a: UmbralMatrix) -> list[UmbralPolynomial]:
-    return a.vec()
-
-
-def vec_inverse(values: Sequence, rows: int, cols: int) -> UmbralMatrix:
-    return UmbralMatrix.vec_inverse(values, rows, cols)

@@ -167,7 +167,7 @@ def _check_special_umbrae() -> str:
 
 def _check_matrix_identities() -> str:
     th = indeterminates("lam", 3)
-    chi_mat = UmbralMatrix.diag_umbrae(singletons(3, prefix="dm"))
+    chi_mat = UmbralMatrix.diag(singletons(3, prefix="dm"))
     d_theta = UmbralMatrix.diag(th)
     product_trace = chi_mat.matmul(d_theta).trace()
     for i in range(0, 4):

@@ -34,7 +34,7 @@ import math
 import numbers
 import threading
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from .combinatorics import divide_by_factorial, falling_factorial
 
@@ -45,12 +45,9 @@ __all__ = [
     "indeterminates",
     "singletons",
     "deltas",
-    "unities",
     "gaussian",
     "falling",
-    "custom_umbra",
     "evaluate",
-    "evaluate_scalar",
     "gf_coefficients",
     "similar",
 ]
@@ -166,11 +163,6 @@ def deltas(count: int = 1, prefix: str = "dlt") -> list[Umbra]:
     ]
 
 
-def unities(count: int = 1, prefix: str = "u") -> list[Umbra]:
-    """Fresh umbrae with every moment equal to 1."""
-    return [Umbra(lambda k, prev: 1, name=f"{prefix}{i + 1}") for i in range(count)]
-
-
 def gaussian(
     mean: Scalar = 0,
     std: Scalar | None = None,
@@ -204,26 +196,6 @@ def falling(n: int, name: str | None = None) -> Umbra:
         name=name or f"fall{n}",
         max_power=n,
     )
-
-
-def custom_umbra(
-    moments: Sequence[Scalar] | Callable[[int], Scalar],
-    *,
-    name: str | None = None,
-    max_power: int | None = None,
-) -> Umbra:
-    """Umbra from an explicit moment sequence or a plain ``k -> a_k`` callable.
-
-    A finite sequence is zero beyond its last entry.
-    """
-    if callable(moments):
-        fn = moments
-        return Umbra(lambda k, prev: fn(k), name=name, max_power=max_power)
-    seq = list(moments)
-    if not seq or seq[0] != 1:
-        raise ValueError("moment sequence must start with a_0 = 1")
-    bound = len(seq) - 1 if max_power is None else max_power
-    return Umbra(lambda k, prev: seq[k], name=name, max_power=bound)
 
 
 def _top_exponents(terms: dict) -> dict:
@@ -402,7 +374,7 @@ class UmbralPolynomial:
     def scale(self, c: Scalar) -> "UmbralPolynomial":
         if c == 0:
             return UmbralPolynomial.zero()
-        if c == 1:
+        if c == 1 and not isinstance(c, float):
             return self
         return UmbralPolynomial({k: v * c for k, v in self._terms.items()})
 
@@ -483,9 +455,6 @@ class UmbralPolynomial:
             out = out + (base.mul(repl.pow(exp, prune=False), prune=False) if exp else base)
         return out
 
-    def evaluate(self) -> "UmbralPolynomial":
-        return evaluate(self)
-
     # -- equality and display ------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -548,11 +517,6 @@ def evaluate(x) -> UmbralPolynomial:
             else:
                 out[key] = s
     return UmbralPolynomial(out)
-
-
-def evaluate_scalar(x) -> Scalar:
-    """Evaluate and demand a constant result."""
-    return evaluate(x).as_scalar()
 
 
 def gf_coefficients(source, order: int) -> list:

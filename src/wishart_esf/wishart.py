@@ -116,10 +116,6 @@ class WishartParams:
             return "symbolic"
         return "rational" if linalg.is_rational_matrix(self.sigma + (self.m or ())) else "float"
 
-    @property
-    def sigma_is_diagonal(self) -> bool:
-        return linalg.is_diagonal(self.sigma)
-
     @cached_property
     def y_vars(self) -> list[Indeterminate]:
         return indeterminates("y", self.p)
@@ -133,13 +129,6 @@ class WishartParams:
         if hasattr(self, "_theta_syms"):
             return self._theta_syms
         return indeterminates("th", self.p)
-
-    def omega(self) -> tuple:
-        """Noncentrality matrix ``sigma^{-1} M M^T``."""
-        if self.m is None:
-            raise ValueError("central model has no noncentrality matrix")
-        mmt = linalg.mat_mul(self.m, linalg.transpose(self.m))
-        return linalg.mat_mul(linalg.inverse(self.sigma), mmt)
 
     def __repr__(self) -> str:
         return f"WishartParams(n={self.n}, p={self.p}, mode={self.mode})"
@@ -185,19 +174,10 @@ def _mean_terms(
     ):
         return UmbralPolynomial.zero()
     p, n = len(m), len(m[0])
-    if k == 1:
-        total = UmbralPolynomial.zero()
-        for l in range(p):
-            for j in range(n):
-                mlj = m[l][j]
-                if not isinstance(mlj, UmbralPolynomial) and mlj == 0:
-                    continue
-                term = _power(yv[l], 2, prune).mul(_power(xv[j], 2, prune), prune=prune)
-                term = term.mul(_power(mlj, 2, prune), prune=prune)
-                total = total + term
-        return total
-    # k > 1: block-diagonal structure of the Kronecker factor reduces the
-    # quadratic form to one p x p polynomial matrix power per column.
+    # k! 2^(k-1) sum_j x_j^(2(k-1)) c_j^T (D_y Sigma D_y)^(k-1) c_j with
+    # c_j = D_y m_j x_j: the block-diagonal structure of the Kronecker factor
+    # reduces the quadratic form to one p x p polynomial matrix power per
+    # column; at k = 1 the power is the identity and the factor is 1.
     st_entries = []
     for a in range(p):
         row = []
@@ -251,7 +231,7 @@ def central_cumulant(params: WishartParams, k: int) -> UmbralPolynomial:
     ``theta_syms`` otherwise."""
     if k < 1:
         raise ValueError("cumulant order must be positive")
-    if params.sigma_is_diagonal:
+    if linalg.is_diagonal(params.sigma):
         theta = [params.sigma[l][l] for l in range(params.p)]
     else:
         theta = _lift_all(params.theta_syms)
@@ -293,7 +273,8 @@ def guard_order(route):
     Rejects symbolic parameter sets and negative orders, answers ``i = 0``
     (one) and ``i > p`` (zero) without calling the route, and returns a value
     whose type follows ``params.mode``: a float in float mode, a ``Fraction``
-    in rational mode.
+    in rational mode.  A float-mode value beyond the float range raises
+    ``OverflowError``.
     """
 
     @functools.wraps(route)
@@ -303,7 +284,13 @@ def guard_order(route):
         if i < 0:
             raise ValueError("order must be nonnegative")
         value = route(params, i) if 1 <= i <= params.p else int(i == 0)
-        return float(value) if params.mode == "float" else Fraction(value)
+        try:
+            return float(value) if params.mode == "float" else Fraction(value)
+        except OverflowError:
+            raise OverflowError(
+                "the value exceeds the float range; rational input "
+                "(--mode rational) gives it exactly"
+            ) from None
 
     return guarded
 

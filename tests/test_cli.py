@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wishart_esf.cli import (
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_STATISTICAL,
     EXIT_USAGE,
@@ -161,6 +162,20 @@ class TestCompute:
         )
         assert result.returncode == EXIT_USAGE
         assert result.stdout == ""
+
+    @pytest.mark.parametrize("method", ["umbral", "closed-form"])
+    def test_value_beyond_float_range_says_so(self, tmp_path, method):
+        sigma = tmp_path / "huge.csv"
+        sigma.write_text("1e120,0,0\n0,1e120,0\n0,0,1e120\n")
+        argv = ["compute", "--method", method, "--n", "3", "--p", "3", "--sigma", str(sigma)]
+        result = run_cli(argv + ["--i", "3"])
+        assert result.returncode == EXIT_NUMERICAL
+        assert result.stdout == ""
+        assert "exceeds the float range" in result.stderr and "--mode rational" in result.stderr
+        assert "Traceback" not in result.stderr
+        exact = run_cli(argv + ["--i", "3", "--mode", "rational"])
+        assert exact.returncode == EXIT_OK
+        assert json.loads(exact.stdout)["results"][0]["value"] == str(6 * 10**360)
 
     def test_no_partial_output_file_on_error(self, tmp_path):
         out = tmp_path / "report.json"

@@ -88,12 +88,6 @@ class TestParams:
         with pytest.raises(ValueError):
             WishartParams(3, 2, linalg.identity(2), ((1, 0), (0, 1)))
 
-    def test_noncentrality_matrix(self):
-        sigma = ((Fraction(2), 0), (0, Fraction(4)))
-        m = ((Fraction(2), 0, 0), (0, Fraction(2), 0))
-        params = WishartParams(3, 2, sigma, m)
-        assert params.omega() == ((Fraction(2), 0), (0, Fraction(1)))
-
 
 class TestCumulants:
     def test_central_cumulant_printed_form(self):
@@ -160,6 +154,13 @@ class TestCumulants:
         qt2 = mean_cumulant(params, 2)
         y, x = params.y_vars[0], params.x_vars[0]
         assert qt2 == 4 * s2 * mval**2 * (y**4 * x**4)
+
+    def test_float_cumulant_coefficients_are_floats(self):
+        # unit float entries scale by 1.0, which must not leave int coefficients
+        params = WishartParams(3, 2, ((1.0, 0.0), (0.0, 2.0)), ((1.0, 0, 0), (0, 0.5, 0)))
+        assert str(mean_cumulant(params, 2)) == "4.0*y1^4*x1^4 + 2.0*y2^4*x2^4"
+        for k in (1, 2, 3):
+            assert all(type(c) is float for _, c in trace_cumulant(params, k).terms())
 
     def test_cumulant_additivity_and_mean_kill(self):
         params = WishartParams(
