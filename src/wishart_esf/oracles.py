@@ -189,9 +189,11 @@ def _batched_esf(w, i: int):
         # det(t I - A) = sum_k c_k t^(p-k): M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k
         am = np.zeros_like(a)
         c = np.ones(len(a))
-        for k in range(1, i + 1):
-            am = np.matmul(a, am + c[:, None, None] * eye)
-            c = -np.trace(am, axis1=1, axis2=2) / k
+        # an overflow here leaves a non-finite value, which _summarize rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, i + 1):
+                am = np.matmul(a, am + c[:, None, None] * eye)
+                c = -np.trace(am, axis1=1, axis2=2) / k
         out[lo : lo + _ESF_BLOCK] = -c if i % 2 else c
     return out
 
@@ -242,7 +244,8 @@ def mc_trace_moment(
     chunks = []
     for xs in _sample_batches(params, samples, seed):
         q = np.einsum("aj,baj->b", weights, xs**2)
-        chunks.append(q**i)
+        with np.errstate(over="ignore"):
+            chunks.append(q**i)
     values = np.concatenate(chunks)
     return _summarize(values, samples, seed)
 
@@ -251,6 +254,8 @@ def _summarize(values, samples: int, seed: int) -> Estimate:
     import numpy as np
 
     mean = float(np.mean(values))
+    if not math.isfinite(mean):
+        raise OverflowError("the Monte Carlo estimate exceeds the float range")
     # spread of the values divided by 2^shift, a power of two near their
     # largest magnitude, so that squaring can neither overflow nor underflow;
     # the scaling is exact, so the bits match the unscaled spread wherever

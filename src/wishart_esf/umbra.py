@@ -18,9 +18,10 @@ polynomial division using heaps*, JSC 2011): a term pair costs one integer
 add, and under pruning one mask test against guard bits that a biased field
 sets exactly when a bounded umbra passes ``max_power``.  Surviving keys are
 unpacked back to the ``(umbra_powers, indet_powers)`` tuples of
-:class:`UmbralPolynomial`.  The coefficients are whatever the
-operands hold; callers that clear denominators first (the Wishart route does)
-keep them ``int``.
+:class:`UmbralPolynomial`, once per power: a power runs on one layout sized
+for its last step, and each step's keys are the next step's left operand.
+The coefficients are whatever the operands hold; callers that clear
+denominators first (the Wishart route does) keep them ``int``.
 
 Monomial keys hold the variable objects themselves, so a polynomial keeps its
 own umbrae and indeterminates alive and no module-level table maps ids back
@@ -221,9 +222,7 @@ class _Layout:
 
     __slots__ = ("offsets", "bias", "guard", "umbra_fields", "indet_fields")
 
-    def __init__(self, left: dict, right: dict, prune: bool) -> None:
-        top_left = _top_exponents(left)
-        top_right = _top_exponents(right)
+    def __init__(self, top_left: dict, top_right: dict, prune: bool) -> None:
         self.offsets: dict = {}
         self.bias = self.guard = 0
         self.umbra_fields: list = []
@@ -268,6 +267,29 @@ class _Layout:
             if e:
                 indet_powers.append((v, e))
         return tuple(umbra_powers), tuple(indet_powers)
+
+
+def _product(left, right: list, guard: int) -> dict:
+    """Packed product of a biased left and an unbiased right operand, without
+    the pairs that set a guard bit.  The surviving keys carry the bias, so they
+    can be the left operand of the next product on the same layout."""
+    out: dict = {}
+    for ka, ca in left:
+        for kb, cb in right:
+            key = ka + kb
+            if key & guard:
+                continue
+            c = ca * cb
+            prev = out.get(key)
+            if prev is None:
+                out[key] = c
+            else:
+                s = prev + c
+                if s == 0:
+                    del out[key]
+                else:
+                    out[key] = s
+    return out
 
 
 def _display_order(key: tuple) -> tuple:
@@ -389,27 +411,10 @@ class UmbralPolynomial:
         other = UmbralPolynomial.coerce(other)
         if not self._terms or not other._terms:
             return UmbralPolynomial.zero()
-        layout = _Layout(self._terms, other._terms, prune)
-        right = layout.pack(other._terms)
-        guard = layout.guard
-        out: dict = {}
-        for ka, ca in layout.pack(self._terms, layout.bias):
-            for kb, cb in right:
-                key = ka + kb
-                if key & guard:
-                    continue
-                c = ca * cb
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = c
-                else:
-                    s = prev + c
-                    if s == 0:
-                        del out[key]
-                    else:
-                        out[key] = s
-        unpack = layout.unpack
-        return UmbralPolynomial({unpack(key): c for key, c in out.items()})
+        layout = _Layout(_top_exponents(self._terms), _top_exponents(other._terms), prune)
+        left = layout.pack(self._terms, layout.bias)
+        out = _product(left, layout.pack(other._terms), layout.guard)
+        return UmbralPolynomial({layout.unpack(key): c for key, c in out.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -423,10 +428,21 @@ class UmbralPolynomial:
             raise ValueError("exponent must be nonnegative")
         if k == 0:
             return UmbralPolynomial.one()
-        result = self
+        if k == 1 or not self._terms:
+            return self
+        # One layout for the whole chain.  Under pruning an intermediate
+        # power keeps no umbra past its max_power, though the base may.
+        top = _top_exponents(self._terms)
+        top_left = {}
+        for v, e in top.items():
+            cap = v.max_power if prune and isinstance(v, Umbra) else None
+            top_left[v] = (k - 1) * e if cap is None else min((k - 1) * e, max(e, cap))
+        layout = _Layout(top_left, top, prune)
+        right = layout.pack(self._terms)
+        left = layout.pack(self._terms, layout.bias)
         for _ in range(k - 1):
-            result = result.mul(self, prune=prune)
-        return result
+            left = _product(left, right, layout.guard).items()
+        return UmbralPolynomial({layout.unpack(key): c for key, c in left})
 
     def __pow__(self, k: int):
         return self.pow(k)

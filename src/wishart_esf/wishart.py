@@ -315,7 +315,7 @@ def _canonical_kernel(n: int, i: int, j: int) -> int:
     if n > j:
         xs.append(falling(n - j, name="fx")._lift())
     c1 = sum(ys, UmbralPolynomial.zero()).mul(sum(xs, UmbralPolynomial.zero())) + pairs
-    return evaluate(complete_bell([c1] + [0] * (i - 1))).as_scalar()
+    return evaluate(c1.pow(i)).as_scalar()
 
 
 def _esf_from_traces(sums: list[list[int]], i: int) -> list[int]:
@@ -336,6 +336,12 @@ def _esf_from_traces(sums: list[list[int]], i: int) -> list[int]:
     return e[i]
 
 
+def _integer_ratio(x) -> tuple[int, int]:
+    if hasattr(x, "as_integer_ratio"):
+        return x.as_integer_ratio()
+    return Fraction(x).as_integer_ratio()  # numpy integers have no as_integer_ratio
+
+
 @guard_order
 def expected_esf_umbral(params: WishartParams, i: int):
     """Expected i-th elementary symmetric function of the latent roots of
@@ -354,8 +360,8 @@ def expected_esf_umbral(params: WishartParams, i: int):
     correctly rounded in float mode.
     """
     n, p = params.n, params.p
-    m = [[Fraction(x).as_integer_ratio() for x in row] for row in params.m or ((0,) * n,) * p]
-    sigma = [[Fraction(x).as_integer_ratio() for x in row] for row in params.sigma]
+    m = [[_integer_ratio(x) for x in row] for row in params.m or ((0,) * n,) * p]
+    sigma = [[_integer_ratio(x) for x in row] for row in params.sigma]
     # clear the mean's denominators first, so that M M^T is an integer product
     d = math.lcm(*(q for row in m for _, q in row))
     mi = [[u * (d // q) for u, q in row] for row in m]

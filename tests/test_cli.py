@@ -177,6 +177,18 @@ class TestCompute:
         assert exact.returncode == EXIT_OK
         assert json.loads(exact.stdout)["results"][0]["value"] == str(6 * 10**360)
 
+    def test_monte_carlo_beyond_float_range_says_so(self, tmp_path):
+        sigma = tmp_path / "huge.csv"
+        sigma.write_text("1e120,0,0\n0,1e120,0\n0,0,1e120\n")
+        result = run_cli(
+            ["compute", "--method", "mc", "--n", "3", "--p", "3", "--sigma", str(sigma)]
+            + ["--i", "3", "--samples", "1000"]
+        )
+        assert result.returncode == EXIT_NUMERICAL
+        assert result.stdout == ""
+        assert "exceeds the float range" in result.stderr
+        assert "Traceback" not in result.stderr and "Warning" not in result.stderr
+
     def test_no_partial_output_file_on_error(self, tmp_path):
         out = tmp_path / "report.json"
         result = run_cli(

@@ -213,6 +213,15 @@ class TestMonteCarlo:
         est = mc_expected_esf(WishartParams(3, 3, sigma), 3, samples=1000, seed=1)
         assert math.isfinite(est.stderr) and est.stderr > 0
 
+    def test_estimate_beyond_float_range_raises(self):
+        # e_3 near 1e360 overflows to inf, which would be reported as NaN
+        sigma = tuple(tuple(1e120 if r == c else 0.0 for c in range(3)) for r in range(3))
+        params = WishartParams(3, 3, sigma)
+        with pytest.raises(OverflowError, match="float range"):
+            mc_expected_esf(params, 3, samples=1000, seed=1)
+        with pytest.raises(OverflowError, match="float range"):
+            mc_trace_moment(params, 3, [1, 1, 1], [1, 1, 1], samples=1000, seed=1)
+
     def test_stderr_of_tiny_values_is_positive(self):
         # e_3 near 6e-180: the squared deviations of the values underflow
         sigma = tuple(tuple(1e-60 if r == c else 0.0 for c in range(3)) for r in range(3))

@@ -4,7 +4,7 @@ import weakref
 from fractions import Fraction
 from random import Random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wishart_esf.combinatorics import elementary_symmetric, falling_factorial
@@ -308,11 +308,20 @@ def polynomial_from(terms) -> UmbralPolynomial:
     return UmbralPolynomial(out)
 
 
-def mixed_polynomials(exponents=st.integers(min_value=1, max_value=3)):
+exact_coefficients = (
+    st.integers(min_value=-3, max_value=3).filter(bool) | small_fractions.filter(bool)
+)
+
+
+def mixed_polynomials(
+    exponents=st.integers(min_value=1, max_value=3),
+    variables=MIXED_VARIABLES,
+    coefficients=exact_coefficients,
+):
     return st.lists(
         st.tuples(
-            st.dictionaries(st.sampled_from(MIXED_VARIABLES), exponents, max_size=4),
-            st.integers(min_value=-3, max_value=3).filter(bool) | small_fractions.filter(bool),
+            st.dictionaries(st.sampled_from(variables), exponents, max_size=4),
+            coefficients,
         ),
         max_size=6,
     ).map(polynomial_from)
@@ -320,6 +329,18 @@ def mixed_polynomials(exponents=st.integers(min_value=1, max_value=3)):
 
 # small exponents meet max_power 1..3; large ones need wide fields
 any_exponents = st.integers(min_value=1, max_value=3) | st.integers(min_value=1, max_value=45)
+
+# max_power 0..3: a falling(0) factor in the base dies in every pruned power
+POWER_VARIABLES = MIXED_VARIABLES + [falling(k, name=f"fl{k}") for k in range(3)]
+any_coefficients = exact_coefficients | st.floats(min_value=-3, max_value=3).filter(bool)
+
+
+def mul_chain(base: UmbralPolynomial, k: int, prune: bool) -> UmbralPolynomial:
+    """``base^k`` as ``k - 1`` successive products, one layout each."""
+    result = UmbralPolynomial.one() if k == 0 else base
+    for _ in range(k - 1):
+        result = result.mul(base, prune=prune)
+    return result
 
 
 class TestPackedProducts:
@@ -329,6 +350,32 @@ class TestPackedProducts:
         got = a.mul(b, prune=prune)
         # same terms in the same order, so float sums keep their rounding
         assert list(got.terms()) == list(reference_mul(a, b, prune).items())
+
+    @given(
+        mixed_polynomials(any_exponents, POWER_VARIABLES, any_coefficients),
+        st.integers(min_value=0, max_value=6),
+        st.booleans(),
+    )
+    @example(UmbralPolynomial.zero(), 3, True)
+    @settings(max_examples=300, deadline=None)
+    def test_pow_matches_mul_chain(self, base, k, prune):
+        got = base.pow(k, prune=prune)
+        # same terms in the same order, so float sums keep their rounding
+        assert list(got.terms()) == list(mul_chain(base, k, prune).terms())
+
+    def test_pow_runs_without_mul(self, monkeypatch):
+        # a power that fell back to one product per step would still be
+        # right, only slower; this catches that without timing anything
+        (d,), (s,), (z,) = deltas(1), singletons(1), indeterminates("z", 1)
+        base = d * z + 2 * s + z - Fraction(1, 2)
+        want = {(k, prune): mul_chain(base, k, prune) for k in (2, 3, 5) for prune in (True, False)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pow called mul")
+
+        monkeypatch.setattr(UmbralPolynomial, "mul", refuse)
+        for (k, prune), power in want.items():
+            assert base.pow(k, prune=prune) == power
 
     @given(mixed_polynomials(), st.sampled_from(MIXED_VARIABLES[-2:]), mixed_polynomials())
     @settings(max_examples=100, deadline=None)

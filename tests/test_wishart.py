@@ -305,6 +305,35 @@ class TestUmbralRoute:
                 want = [math.factorial(i) * falling_factorial(n - k, i - k) for k in range(i + 1)]
                 assert a == want, (n, i)
 
+    def test_kernel_power_chain_runs_without_mul(self, monkeypatch):
+        # building c_1 multiplies weights; raising it to the i-th power must
+        # not fall back to one mul per step
+        packed_pow = UmbralPolynomial.pow
+        orders = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pow called mul")
+
+        def guarded_pow(poly, k, prune=True):
+            orders.append(k)
+            with monkeypatch.context() as patch:
+                patch.setattr(UmbralPolynomial, "mul", refuse)
+                return packed_pow(poly, k, prune)
+
+        monkeypatch.setattr(UmbralPolynomial, "pow", guarded_pow)
+        want = sum(math.comb(5, k) * 120 * falling_factorial(6 - k, 5 - k) for k in range(6))
+        assert wishart._canonical_kernel(6, 5, 5) == want
+        assert orders == [5]
+
+    def test_numpy_and_int_entries(self):
+        import numpy as np
+
+        sigma, m = [[2, 1], [1, 3]], [[1, 0, 0, 0], [0, 2, 0, 0]]
+        floating = expected_esf_umbral(WishartParams(4, 2, np.array(sigma), np.array(m)), 2)
+        assert type(floating) is float and floating == 97.0
+        exact = expected_esf_umbral(WishartParams(4, 2, sigma, m), 2)
+        assert type(exact) is Fraction and exact == 97
+
     def test_orders_outside_range(self):
         params = WishartParams(3, 2, linalg.identity(2))
         assert expected_esf_umbral(params, 0) == 1
