@@ -134,19 +134,19 @@ def _build_params(args) -> wishart.WishartParams:
 
 def _parse_orders(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        try:
-            lo_i, hi_i = int(lo), int(hi)
-        except ValueError as exc:
-            raise UsageError(f"bad order range {text!r}") from exc
-        if hi_i < lo_i:
-            raise UsageError(f"bad order range {text!r}")
-        return list(range(lo_i, hi_i + 1))
     try:
-        return [int(text)]
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            orders = list(range(int(lo), int(hi) + 1))
+        else:
+            orders = [int(text)]
     except ValueError as exc:
         raise UsageError(f"bad order {text!r}") from exc
+    if not orders:
+        raise UsageError(f"bad order range {text!r}")
+    if orders[0] < 0:
+        raise UsageError(f"bad order {text!r}: orders are nonnegative")
+    return orders
 
 
 def _method_value(method: str, params, i: int, args) -> dict:

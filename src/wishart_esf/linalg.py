@@ -23,8 +23,8 @@ def freeze(rows: Sequence[Sequence]) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-def shape(a: Sequence[Sequence]) -> tuple[int, int]:
-    return (len(a), len(a[0]))
+def has_shape(a: Sequence[Sequence], rows: int, cols: int) -> bool:
+    return len(a) == rows and all(len(row) == cols for row in a)
 
 
 def identity(k: int) -> tuple:

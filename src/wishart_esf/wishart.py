@@ -3,11 +3,12 @@ to the expected elementary symmetric functions of the latent roots.
 
 Both routes use ``E[e_i(W)] = sum_k a_k [t^k] e_i(Sigma + t M M^T)``, where
 the coefficients ``a_k`` depend only on ``n`` and ``i``.  The umbral route
-reads them off the symbolic kernel run on a canonical problem: the cumulant
-sequence of the weighted squared trace ``tr[(D_y X D_x)(D_y X D_x)^T]``,
-assembled into moments through complete Bell polynomials, with 1,0,1,0,...
-umbrae plugged into the weights, so that the evaluation functional deletes
-every monomial that does not contribute to an elementary symmetric function.
+reads each one off one symbolic kernel run, on a canonical problem whose
+expectation is ``a_k`` itself: the cumulant sequence of the weighted squared
+trace ``tr[(D_y X D_x)(D_y X D_x)^T]``, assembled into moments through
+complete Bell polynomials, with 1,0,1,0,... umbrae plugged into the weights,
+so that the evaluation functional deletes every monomial that does not
+contribute to an elementary symmetric function.
 It takes ``[t^k] e_i`` from the traces of the powers of the polynomial
 matrix ``Sigma + t M M^T`` and Newton's identities.  The closed-form route
 uses ``a_k = (n-k)_(i-k)`` and the division-free characteristic polynomial.
@@ -33,7 +34,6 @@ from .matrix import UmbralMatrix
 from .umbra import (
     Indeterminate,
     UmbralPolynomial,
-    deltas,
     evaluate,
     falling,
     indeterminates,
@@ -66,7 +66,7 @@ class WishartParams:
     for inspecting cumulants as printable polynomials.
     """
 
-    def __init__(self, n: int, p: int, sigma, m=None, *, validate: bool = True) -> None:
+    def __init__(self, n: int, p: int, sigma, m=None) -> None:
         self.n = int(n)
         self.p = int(p)
         self.sigma = linalg.freeze(sigma)
@@ -74,7 +74,7 @@ class WishartParams:
         self.symbolic_mode = any(
             isinstance(x, UmbralPolynomial) for row in self.sigma for x in row
         )
-        if validate and not self.symbolic_mode:
+        if not self.symbolic_mode:
             self._validate()
 
     @classmethod
@@ -87,17 +87,19 @@ class WishartParams:
         m = [
             [Indeterminate(f"m{r + 1}{c + 1}")._lift() for c in range(n)] for r in range(p)
         ]
-        params = cls(n, p, sigma, m, validate=False)
+        params = cls(n, p, sigma, m)
         params._theta_syms = theta
         return params
 
     def _validate(self) -> None:
         if self.p < 1 or self.n < self.p:
             raise ValueError("need n >= p >= 1")
+        if not linalg.has_shape(self.sigma, self.p, self.p):
+            raise ValueError("covariance must be p x p")
+        if self.m is not None and not linalg.has_shape(self.m, self.p, self.n):
+            raise ValueError("mean must be p x n")
         if not all(math.isfinite(x) for row in self.sigma + (self.m or ()) for x in row):
             raise ValueError("covariance and mean entries must be finite")
-        if linalg.shape(self.sigma) != (self.p, self.p):
-            raise ValueError("covariance must be p x p")
         tol = 0.0 if self.mode == "rational" else SYMMETRY_TOL * max(
             [1.0] + [abs(x) for row in self.sigma for x in row]
         )
@@ -105,8 +107,6 @@ class WishartParams:
             raise ValueError("covariance must be symmetric")
         if not linalg.is_positive_definite(self.sigma):
             raise ValueError("covariance must be positive definite")
-        if self.m is not None and linalg.shape(self.m) != (self.p, self.n):
-            raise ValueError("mean must be p x n")
 
     # -- structure ------------------------------------------------------------
 
@@ -295,26 +295,29 @@ def guard_order(route):
     return guarded
 
 
-def _canonical_kernel(n: int, i: int, j: int) -> int:
-    """``i! E[e_i(W)]`` for the canonical problem: identity covariance, ``i``
-    rows, and the ``i x n`` mean with ones at the first ``j`` diagonal places.
+def _canonical_kernel(n: int, i: int, k: int) -> int:
+    """``i! a_k`` from one kernel run on a canonical problem whose
+    ``E[e_i(W)]`` is ``a_k``: ``i`` rows, ``n`` columns, covariance
+    ``diag(0^k, 1^(i-k))`` and a mean with ones at the first ``k`` diagonal
+    places, so ``Sigma + t M M^T = diag(t^k, 1^(i-k))`` and ``e_i = t^k``.  A
+    zero-variance row is a deterministic row, and the moment identity is
+    polynomial in ``Sigma``.
 
-    Under 1,0,1,0,... weights every cumulant past the first vanishes, so the
-    Bell combination is ``c_1^i``.  Each of the ``j`` mean pairs keeps a delta
-    umbra for its row and one for its column.  The mean-free rows are
-    exchangeable, and so are the free columns: the sum of the squared
-    weights of ``k`` of them is the dot-product umbra ``k.chi`` of Di Nardo &
-    Senato (Eur. J. Combin. 27, 2006), one ``falling(k)`` umbra with the
-    falling factorials ``(k)_r`` as moments.
+    Under 1,0,1,0,... weights the Bell combination is ``c_1^i``, with
+    ``c_1 = (sum_c x_c^2)(sum_(r>k) y_r^2) + sum_(l<=k) y_l^2 x_l^2``.  A pair
+    row's ``y_l^2`` stands only next to ``x_l^2``, which survives at most
+    once in a monomial, so it evaluates to 1 and is dropped.  The ``k`` pair
+    columns, the ``i-k`` free rows and the ``n-k`` free columns are then
+    exchangeable families; the squared weights of ``r`` of them sum to the
+    dot-product umbra ``r.chi`` of Di Nardo & Senato (Eur. J. Combin. 27,
+    2006), one ``falling(r)`` umbra.  So ``c_1 = (f_y + 1) g + f_y f_x``, and
+    pruning leaves one monomial of ``c_1^i``, ``C(i, k) g^k f_y^(i-k)
+    f_x^(i-k)``, which evaluates to ``i! (n-k)_(i-k)``.
     """
-    ys = [y.mul(y) for y in _lift_all(deltas(j, prefix="dy"))]
-    xs = [x.mul(x) for x in _lift_all(deltas(j, prefix="dx"))]
-    pairs = sum((y.mul(x) for y, x in zip(ys, xs)), UmbralPolynomial.zero())
-    if i > j:
-        ys.append(falling(i - j, name="fy")._lift())
-    if n > j:
-        xs.append(falling(n - j, name="fx")._lift())
-    c1 = sum(ys, UmbralPolynomial.zero()).mul(sum(xs, UmbralPolynomial.zero())) + pairs
+    g = falling(k, name="g")._lift()
+    fy = falling(i - k, name="fy")._lift()
+    fx = falling(n - k, name="fx")._lift()
+    c1 = (fy + 1).mul(g) + fy.mul(fx)
     return evaluate(c1.pow(i)).as_scalar()
 
 
@@ -350,14 +353,12 @@ def expected_esf_umbral(params: WishartParams, i: int):
     and ``B = s M M^T`` are integer matrices and ``a_k`` depends on ``n``
     and ``i`` only.
 
-    The kernel run on the canonical problem with ``j`` unit mean pairs gives
-    ``v_j = i! sum_k C(j, k) a_k``, since ``e_i(I + t diag(1^j, 0)) =
-    (1 + t)^j``; binomial inversion recovers ``i! a_k`` for ``k`` up to the
-    degree of ``e_i(A + t B)`` in ``t``, so central input needs one run.
-    ``[t^k] e_i`` comes from the traces of the powers of ``A + t B`` and
-    Newton's identities, with no eigensolver and no factorization.  Float
-    input is cleared like rational input, so the value is exact, and
-    correctly rounded in float mode.
+    Each nonzero ``[t^k] e_i`` takes one kernel run, on a canonical problem
+    whose ``E[e_i(W)]`` is ``a_k`` itself (:func:`_canonical_kernel`), so
+    central input needs one run.  ``[t^k] e_i`` comes from the traces of the
+    powers of ``A + t B`` and Newton's identities, with no eigensolver and no
+    factorization.  Float input is cleared like rational input, so the value
+    is exact, and correctly rounded in float mode.
     """
     n, p = params.n, params.p
     m = [[_integer_ratio(x) for x in row] for row in params.m or ((0,) * n,) * p]
@@ -369,13 +370,7 @@ def expected_esf_umbral(params: WishartParams, i: int):
     a = [[u * (s // q) for u, q in row] for row in sigma]
     b = [[s // (d * d) * x for x in row] for row in linalg.mat_mul(mi, linalg.transpose(mi))]
     esf = _esf_from_traces(linalg.power_sums([a, b] if any(map(any, b)) else [a], i), i)
-    while esf[-1] == 0:
-        esf.pop()
-    values = [_canonical_kernel(n, i, j) for j in range(len(esf))]
-    total = 0
-    for k, c in enumerate(esf):
-        # i! a_k by binomial inversion of the runs j <= k
-        total += c * sum((-1) ** (k - j) * math.comb(k, j) * values[j] for j in range(k + 1))
+    total = sum(c * _canonical_kernel(n, i, k) for k, c in enumerate(esf) if c)
     return Fraction(total, math.factorial(i) * s**i)
 
 

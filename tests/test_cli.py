@@ -131,6 +131,17 @@ class TestCompute:
         payload = json.loads(capsys.readouterr().out)
         assert [r["value"] for r in payload["results"]] == ["6", "6"]
 
+    @pytest.mark.parametrize("orders", ["-1", "-2..1", "2..1", "two", "1..x"])
+    @pytest.mark.parametrize("command", ["compute", "compare"])
+    def test_bad_orders_are_usage_errors(self, identity2, capsys, orders, command):
+        methods = ["--methods", "closed-form,umbral"] if command == "compare" else []
+        code = main(
+            [command, *methods, "--n", "3", "--p", "2", "--sigma", identity2, f"--i={orders}"]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == "" and "bad order" in err
+
     def test_missing_file_exits_one(self, tmp_path):
         result = run_cli(
             ["compute", "--n", "3", "--p", "2", "--sigma", str(tmp_path / "absent.csv"), "--i", "1"]

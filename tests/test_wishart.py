@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wishart_esf import linalg, wishart
+from wishart_esf import linalg, umbra, wishart
 from wishart_esf.combinatorics import (
     bell_coefficient,
     complete_bell,
@@ -87,6 +87,16 @@ class TestParams:
     def test_mean_shape_checked(self):
         with pytest.raises(ValueError):
             WishartParams(3, 2, linalg.identity(2), ((1, 0), (0, 1)))
+
+    def test_every_row_is_shape_checked(self):
+        # every row, not only the first: a ragged matrix must not reach a route
+        with pytest.raises(ValueError, match="mean must be p x n"):
+            WishartParams(3, 2, linalg.identity(2), ((1, 0, 0), (0,)))
+        with pytest.raises(ValueError, match="mean must be p x n"):
+            WishartParams(3, 2, linalg.identity(2), ((1, 0, 0), (0, 1, 0, 0)))
+        for sigma in (((1, 0), (0,)), ((1, 0), (0, 1, 0)), (), ((), ())):
+            with pytest.raises(ValueError, match="covariance must be p x p"):
+                WishartParams(3, 2, sigma)
 
 
 class TestCumulants:
@@ -293,17 +303,13 @@ class TestUmbralRoute:
         assert wick_expected_esf(params, 1) == 10
 
     def test_kernel_coefficients_are_falling_factorials(self):
-        # the canonical runs give v_j = i! sum_k C(j, k) a_k; inverting the
-        # binomial transform must give a_k = i! (n-k)_(i-k)
-        for n in range(1, 11):
-            for i in range(1, min(n, 6) + 1):
-                v = [wishart._canonical_kernel(n, i, j) for j in range(i + 1)]
-                a = [
-                    sum((-1) ** (k - j) * math.comb(k, j) * v[j] for j in range(k + 1))
-                    for k in range(i + 1)
-                ]
-                want = [math.factorial(i) * falling_factorial(n - k, i - k) for k in range(i + 1)]
-                assert a == want, (n, i)
+        # the canonical problem for coefficient k has E[e_i(W)] = a_k itself,
+        # so each run must give i! a_k = i! (n-k)_(i-k) directly
+        for n in range(1, 17):
+            for i in range(n + 1):
+                for k in range(i + 1):
+                    want = math.factorial(i) * falling_factorial(n - k, i - k)
+                    assert wishart._canonical_kernel(n, i, k) == want, (n, i, k)
 
     def test_kernel_power_chain_runs_without_mul(self, monkeypatch):
         # building c_1 multiplies weights; raising it to the i-th power must
@@ -321,8 +327,7 @@ class TestUmbralRoute:
                 return packed_pow(poly, k, prune)
 
         monkeypatch.setattr(UmbralPolynomial, "pow", guarded_pow)
-        want = sum(math.comb(5, k) * 120 * falling_factorial(6 - k, 5 - k) for k in range(6))
-        assert wishart._canonical_kernel(6, 5, 5) == want
+        assert wishart._canonical_kernel(6, 5, 5) == 120
         assert orders == [5]
 
     def test_numpy_and_int_entries(self):
@@ -340,20 +345,13 @@ class TestUmbralRoute:
         assert expected_esf_umbral(params, 3) == 0
 
     def test_umbrae_of_a_finished_computation_are_freed(self, monkeypatch):
-        refs = []
         falling_refs = []
-
-        def recording_deltas(count, prefix):
-            fresh = deltas(count, prefix=prefix)
-            refs.extend(weakref.ref(d) for d in fresh)
-            return fresh
 
         def recording_falling(count, name):
             fresh = falling(count, name=name)
             falling_refs.append(weakref.ref(fresh))
             return fresh
 
-        monkeypatch.setattr(wishart, "deltas", recording_deltas)
         monkeypatch.setattr(wishart, "falling", recording_falling)
         cases = [
             WishartParams(3, 2, ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3)))),
@@ -364,7 +362,6 @@ class TestUmbralRoute:
             for i in (1, 2):
                 expected_esf_umbral(params, i)
         gc.collect()
-        assert refs and all(ref() is None for ref in refs)
         assert falling_refs and all(ref() is None for ref in falling_refs)
 
     def test_rationally_split_covariance_stays_exact(self):
@@ -494,6 +491,25 @@ class TestColumnCollapse:
         params = WishartParams(10, 8, rational_diag_spd(Random(8), 8))
         expected_esf_umbral(params, 8)
         assert 0 < sum(pairs) <= 10_000
+
+    def test_noncentral_expansion_stays_small(self, monkeypatch):
+        # deterministic work guard on the packed pair loop of mul and pow:
+        # canonical runs with a delta umbra per mean pair form about 4.3
+        # million term pairs here, one run per coefficient 830
+        pairs = []
+        original = umbra._product
+
+        def counting(left, right, guard):
+            left = list(left)
+            pairs.append(len(left) * len(right))
+            return original(left, right, guard)
+
+        monkeypatch.setattr(umbra, "_product", counting)
+        sigma = tuple(tuple(Fraction(3, 2) if r == c else 0 for c in range(8)) for r in range(8))
+        m = rect_diag_matrix([Fraction(l + 1, 2) for l in range(8)], 8, 10)
+        params = WishartParams(10, 8, sigma, m)
+        assert expected_esf_umbral(params, 8) == expected_esf_closed_form(params, 8)
+        assert 0 < sum(pairs) <= 2_000
 
 
 class TestRouteAgreement:
