@@ -162,6 +162,8 @@ def _method_value(method: str, params, i: int, args) -> dict:
         elif method == "mc":
             if args.samples < 2:
                 raise UsageError("--samples must be at least 2")
+            if args.seed < 0:
+                raise UsageError("--seed must be nonnegative")
             est = oracles.mc_expected_esf(params, i, args.samples, args.seed)
             entry["stderr"] = est.stderr
             entry["samples"] = est.samples

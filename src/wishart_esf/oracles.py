@@ -32,8 +32,7 @@ __all__ = [
 ]
 
 WICK_DEGREE_LIMIT = 12
-_MC_BATCH = 65536  # fixed batch size; part of the reproducibility contract
-_ESF_BLOCK = 4096  # rows per block of the batched char-poly; bounds its temporaries
+_MC_BATCH = 4096  # rows per batch; bounds the temporaries, not part of the output
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,8 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
 def _sample_batches(params: WishartParams, samples: int, seed: int):
     """Yield batches of sampled ``X`` of shape (b, p, n).
 
-    Single stream, fixed batch size: the draw sequence depends only on
-    (seed, samples, p, n), which is the package's reproducibility contract.
+    Single stream, drawn in batches of any size: the draw sequence depends
+    only on (seed, samples, p, n), which is the package's reproducibility contract.
     """
     import numpy as np
 
@@ -179,23 +178,19 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
 
 def _batched_esf(w, i: int):
     """``e_i`` of the latent roots of each matrix in a batch: Faddeev-LeVerrier
-    stopped at order ``i``, run over fixed row blocks."""
+    stopped at order ``i``."""
     import numpy as np
 
-    out = np.empty(w.shape[0])
     eye = np.eye(w.shape[1])
-    for lo in range(0, w.shape[0], _ESF_BLOCK):
-        a = w[lo : lo + _ESF_BLOCK]
-        # det(t I - A) = sum_k c_k t^(p-k): M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k
-        am = np.zeros_like(a)
-        c = np.ones(len(a))
-        # an overflow here leaves a non-finite value, which _summarize rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(1, i + 1):
-                am = np.matmul(a, am + c[:, None, None] * eye)
-                c = -np.trace(am, axis1=1, axis2=2) / k
-        out[lo : lo + _ESF_BLOCK] = -c if i % 2 else c
-    return out
+    # det(t I - A) = sum_k c_k t^(p-k): M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k
+    am = np.zeros_like(w)
+    c = np.ones(len(w))
+    # an overflow here leaves a non-finite value, which _summarize rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, i + 1):
+            am = np.matmul(w, am + c[:, None, None] * eye)
+            c = -np.trace(am, axis1=1, axis2=2) / k
+    return -c if i % 2 else c
 
 
 def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> Estimate:

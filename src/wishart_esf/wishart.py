@@ -9,10 +9,11 @@ trace ``tr[(D_y X D_x)(D_y X D_x)^T]``, assembled into moments through
 complete Bell polynomials, with 1,0,1,0,... umbrae plugged into the weights,
 so that the evaluation functional deletes every monomial that does not
 contribute to an elementary symmetric function.
-It takes ``[t^k] e_i`` from the traces of the powers of the polynomial
-matrix ``Sigma + t M M^T`` and Newton's identities.  The closed-form route
-uses ``a_k = (n-k)_(i-k)`` and the division-free characteristic polynomial.
-Both are exact, and correctly rounded in float mode.
+Both routes clear denominators once, in one integer pencil
+``A + t B = s (Sigma + t M M^T)``.  The umbral route takes ``[t^k] e_i``
+from the traces of its powers and Newton's identities; the closed-form route
+uses ``a_k = (n-k)_(i-k)``, the division-free characteristic polynomial and
+interpolation.  Both are exact, and correctly rounded in float mode.
 """
 
 from __future__ import annotations
@@ -342,24 +343,13 @@ def _esf_from_traces(sums: list[list[int]], i: int) -> list[int]:
 def _integer_ratio(x) -> tuple[int, int]:
     if hasattr(x, "as_integer_ratio"):
         return x.as_integer_ratio()
-    return Fraction(x).as_integer_ratio()  # numpy integers have no as_integer_ratio
+    # numpy integers: no as_integer_ratio, and 64-bit products would wrap
+    return int(x.numerator), int(x.denominator)
 
 
-@guard_order
-def expected_esf_umbral(params: WishartParams, i: int):
-    """Expected i-th elementary symmetric function of the latent roots of
-    ``W = X X^T`` via the symbolic kernel, one path for every input:
-    ``E[e_i(W)] = s^-i sum_k a_k [t^k] e_i(A + t B)``, where ``A = s Sigma``
-    and ``B = s M M^T`` are integer matrices and ``a_k`` depends on ``n``
-    and ``i`` only.
-
-    Each nonzero ``[t^k] e_i`` takes one kernel run, on a canonical problem
-    whose ``E[e_i(W)]`` is ``a_k`` itself (:func:`_canonical_kernel`), so
-    central input needs one run.  ``[t^k] e_i`` comes from the traces of the
-    powers of ``A + t B`` and Newton's identities, with no eigensolver and no
-    factorization.  Float input is cleared like rational input, so the value
-    is exact, and correctly rounded in float mode.
-    """
+def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[list[int]]]:
+    """``(s, A, B)``: the integer matrices ``A = s Sigma`` and ``B = s M M^T``,
+    read from each entry's integer ratio, so exact for float entries too."""
     n, p = params.n, params.p
     m = [[_integer_ratio(x) for x in row] for row in params.m or ((0,) * n,) * p]
     sigma = [[_integer_ratio(x) for x in row] for row in params.sigma]
@@ -369,8 +359,27 @@ def expected_esf_umbral(params: WishartParams, i: int):
     s = math.lcm(d * d, *(q for row in sigma for _, q in row))
     a = [[u * (s // q) for u, q in row] for row in sigma]
     b = [[s // (d * d) * x for x in row] for row in linalg.mat_mul(mi, linalg.transpose(mi))]
+    return s, a, b
+
+
+@guard_order
+def expected_esf_umbral(params: WishartParams, i: int):
+    """Expected i-th elementary symmetric function of the latent roots of
+    ``W = X X^T`` via the symbolic kernel, one path for every input:
+    ``E[e_i(W)] = s^-i sum_k a_k [t^k] e_i(A + t B)``, where ``A = s Sigma``
+    and ``B = s M M^T`` are the integer matrices of :func:`_integer_pencil`
+    and ``a_k`` depends on ``n`` and ``i`` only.
+
+    Each nonzero ``[t^k] e_i`` takes one kernel run, on a canonical problem
+    whose ``E[e_i(W)]`` is ``a_k`` itself (:func:`_canonical_kernel`), so
+    central input needs one run.  ``[t^k] e_i`` comes from the traces of the
+    powers of ``A + t B`` and Newton's identities, with no eigensolver and no
+    factorization.  Float input is cleared like rational input, so the value
+    is exact, and correctly rounded in float mode.
+    """
+    s, a, b = _integer_pencil(params)
     esf = _esf_from_traces(linalg.power_sums([a, b] if any(map(any, b)) else [a], i), i)
-    total = sum(c * _canonical_kernel(n, i, k) for k, c in enumerate(esf) if c)
+    total = sum(c * _canonical_kernel(params.n, i, k) for k, c in enumerate(esf) if c)
     return Fraction(total, math.factorial(i) * s**i)
 
 
@@ -401,26 +410,19 @@ def expected_esf_closed_form(params: WishartParams, i: int):
     ``E[e_i(W)] = sum_k (n-k)_(i-k) [t^k] e_i(Sigma + t M M^T)``, one path
     for every regime.
 
-    Denominators are cleared once (``Fraction`` is exact for floats too):
-    with ``s`` the common denominator of ``Sigma`` and ``M M^T``,
-    ``e_i(s Sigma + t s M M^T)`` is an integer polynomial of degree at most
-    ``i`` in ``t``, recovered exactly from :func:`linalg.charpoly` at
-    ``t = 0..i``.  The value is exact, and in float mode it is the correctly
-    rounded value for the float inputs.
+    ``e_i(A + t B)`` of the integer pencil (:func:`_integer_pencil`) is an
+    integer polynomial of degree at most ``i`` in ``t``, recovered exactly
+    from :func:`linalg.charpoly` at ``t = 0..i``; the one division, by
+    ``s^i``, comes last.  The value is exact, and correctly rounded in float mode.
     """
-    n = params.n
-    m = [[Fraction(x) for x in row] for row in params.m or ((0,) * n,) * params.p]
-    mmt = linalg.mat_mul(m, linalg.transpose(m))
-    sigma = [[Fraction(x) for x in row] for row in params.sigma]
-    s = math.lcm(*(x.denominator for a in (sigma, mmt) for row in a for x in row))
+    s, a, b = _integer_pencil(params)
     values = [
-        linalg.charpoly(
-            [[int(s * (x + t * y)) for x, y in zip(r1, r2)] for r1, r2 in zip(sigma, mmt)]
-        )[i]
+        linalg.charpoly([[x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)])[i]
         for t in range(i + 1)
     ]
     coeffs = _integer_polynomial(values)
-    return Fraction(sum(falling_factorial(n - k, i - k) * c for k, c in enumerate(coeffs)), s**i)
+    total = sum(falling_factorial(params.n - k, i - k) * c for k, c in enumerate(coeffs))
+    return Fraction(total, s**i)
 
 
 # -- scalar quadratic form cumulants ------------------------------------------

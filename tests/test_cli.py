@@ -174,6 +174,15 @@ class TestCompute:
         assert result.returncode == EXIT_USAGE
         assert result.stdout == ""
 
+    def test_negative_seed_is_usage_error(self, identity2):
+        result = run_cli(
+            ["compute", "--method", "mc", "--seed", "-1"]
+            + ["--n", "3", "--p", "2", "--sigma", identity2, "--i", "1"]
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert "--seed" in result.stderr
+
     @pytest.mark.parametrize("method", ["umbral", "closed-form"])
     def test_value_beyond_float_range_says_so(self, tmp_path, method):
         sigma = tmp_path / "huge.csv"

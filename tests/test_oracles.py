@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wishart_esf import linalg
+from wishart_esf import linalg, oracles
 from wishart_esf.combinatorics import perfect_matchings
 from wishart_esf.oracles import (
     Estimate,
@@ -179,9 +179,25 @@ class TestMonteCarlo:
         est2 = mc_expected_esf(params, 1, samples=70_000, seed=9)
         assert est == est2
 
+    def test_batch_size_does_not_change_results(self, monkeypatch):
+        # batches of 1000 and 4096 rows split 9000 samples differently; both
+        # estimators must give the same bits
+        sigma = ((Fraction(2), Fraction(1, 2), 0), (Fraction(1, 2), 1, 0), (0, 0, Fraction(3)))
+        m = ((1, 0, 0, Fraction(1, 2)), (0, 2, 0, 0), (0, 0, 1, 0))
+        params = WishartParams(4, 3, sigma, m)
+
+        def run(batch):
+            monkeypatch.setattr(oracles, "_MC_BATCH", batch)
+            return (
+                mc_expected_esf(params, 3, samples=9000, seed=21),
+                mc_trace_moment(params, 2, [1, 0.5, 2], [1, 1, 0.5, 2], samples=9000, seed=22),
+            )
+
+        assert run(1000) == run(4096)
+
     def test_batched_charpoly_matches_subset_determinants(self):
-        # one fixed batch at p=6 that crosses a row-block boundary: e_i from
-        # the batched characteristic polynomial against i x i principal minors
+        # one 5000-row batch at p=6: e_i from the batched characteristic
+        # polynomial against i x i principal minors
         x = np.random.default_rng(606).standard_normal((5000, 6, 8)) + 0.5
         w = np.matmul(x, np.transpose(x, (0, 2, 1)))
         for i in range(1, 7):

@@ -32,6 +32,8 @@ from wishart_esf.wishart import (
 from wishart_esf.wishart import _central_terms, _mean_terms
 
 from conftest import (
+    float_matrix,
+    float_spd,
     rational_diag_spd,
     rational_full_spd,
     rational_matrix,
@@ -264,6 +266,28 @@ class TestDeltaPruning:
                 first_power = cumulants[0].pow(i, prune=False)
                 assert evaluate(bell) == evaluate(first_power)
 
+    def test_delta_weights_give_the_model_expectation(self):
+        # the paper's mechanism on the model itself, not on a canonical
+        # problem: with 1,0,1,0,... umbrae in the weights, evaluating the
+        # i-th moment of the weighted squared trace leaves i! E[e_i(W)]
+        rng = Random(4)
+        for _ in range(12):
+            p = rng.randint(1, 5)
+            n = rng.randint(p, 6)
+            sigma = rational_diag_spd(rng, p)
+            m = rect_diag_matrix(rational_vector(rng, p, span=2, max_den=3), p, n)
+            theta = [sigma[l][l] for l in range(p)]
+            yv = [d._lift() for d in deltas(p)]
+            xv = [d._lift() for d in deltas(n)]
+            params = WishartParams(n, p, sigma, m)
+            for i in range(1, p + 1):
+                cumulants = [
+                    _central_terms(k, yv, xv, theta) + _mean_terms(k, yv, xv, m, sigma)
+                    for k in range(1, i + 1)
+                ]
+                got = evaluate(complete_bell(cumulants)).as_scalar()
+                assert got == math.factorial(i) * expected_esf_closed_form(params, i), (p, n, i)
+
 
 class TestUmbralRoute:
     def test_identity_covariance_identity(self):
@@ -444,6 +468,62 @@ def rational_instances(draw):
         )
     )
     return WishartParams(n, p, sigma, m)
+
+
+class TestIntegerPencil:
+    def test_pencil_is_the_scaled_model(self, rng):
+        import numpy as np
+
+        # float entries whose exponents spread over 1e-150..1
+        spread_sigma = [[1.0, 0, 0, 0.1], [0, 3e-50, 0, 0], [0, 0, 2.5e-150, 0], [0.1, 0, 0, 0.7]]
+        spread_m = [
+            [1e-120, 0.5, 0, 0, 0],
+            [0, 0, 3.25e-7, 0, 0],
+            [0, 0, 0, 1e-90, 0],
+            [0.3, 0, 0, 0, 2.0],
+        ]
+        cases = [
+            WishartParams(5, 3, rational_full_spd(rng, 3), rational_matrix(rng, 3, 5)),
+            WishartParams(4, 3, float_spd(rng, 3), float_matrix(rng, 3, 4)),
+            WishartParams(5, 4, spread_sigma, spread_m),
+            WishartParams(4, 2, np.array([[2, 1], [1, 3]]), np.array([[1, 0, 0, 0], [0, 2, 0, 5]])),
+            WishartParams(4, 3, rational_full_spd(rng, 3)),
+        ]
+        for params in cases:
+            s, a, b = wishart._integer_pencil(params)
+            m = [[Fraction(x) for x in row] for row in params.m or [[0] * params.n] * params.p]
+            mmt = [[sum(x * y for x, y in zip(r1, r2)) for r2 in m] for r1 in m]
+            assert type(s) is int and s > 0
+            assert [[s * Fraction(x) for x in row] for row in params.sigma] == a
+            assert [[s * x for x in row] for row in mmt] == b
+            assert all(type(x) is int for mat in (a, b) for row in mat for x in row)
+
+    def test_large_numpy_integers_do_not_wrap(self):
+        # numpy int64 entries must be read as Python ints: at 3e9 the
+        # pencil's products pass 2^63
+        import numpy as np
+
+        big = 3_000_000_000
+        params = WishartParams(2, 2, np.array([[big, 0], [0, big]]), np.array([[big, 0], [0, 1]]))
+        want = float(big**3 + 3 * big**2 + big)
+        assert expected_esf_umbral(params, 2) == want
+        assert expected_esf_closed_form(params, 2) == want
+
+    def test_closed_form_builds_no_fraction_per_entry(self, rng, monkeypatch):
+        # work guard: the pencil is integer, so the closed form makes one
+        # Fraction for its final division and guard_order one more
+        made = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        params = WishartParams(9, 7, rational_full_spd(rng, 7), rational_matrix(rng, 7, 9))
+        want = expected_esf_closed_form(params, 4)
+        monkeypatch.setattr(wishart, "Fraction", CountingFraction)
+        assert expected_esf_closed_form(params, 4) == want
+        assert len(made) <= 2
 
 
 class TestColumnCollapse:
