@@ -69,9 +69,7 @@ def parse_scalar(text: str, mode: str):
 
 
 def format_scalar(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return str(value)
     return repr(float(value))
 
@@ -124,8 +122,13 @@ def _build_params(args) -> wishart.WishartParams:
         m, m_mode = parse_matrix_csv(args.m, args.mode)
         if args.mode is None and {sigma_mode, m_mode} == {"rational", "float"}:
             # never mix scalar towers inside one computation
-            sigma = linalg.to_float(sigma)
-            m = linalg.to_float(m)
+            try:
+                sigma, m = linalg.to_float(sigma), linalg.to_float(m)
+            except OverflowError:
+                raise UsageError(
+                    "an exact entry exceeds the float range; "
+                    "--mode rational reads every file exactly"
+                ) from None
     try:
         return wishart.WishartParams(args.n, args.p, sigma, m)
     except ValueError as exc:

@@ -44,17 +44,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     )
 
 
-def mat_pow(a: Sequence[Sequence], k: int) -> tuple:
-    if len(a) != len(a[0]):
-        raise ValueError("matrix power needs a square matrix")
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    out = identity(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
 def trace(a: Sequence[Sequence]):
     return sum(a[i][i] for i in range(len(a)))
 
@@ -185,10 +174,6 @@ def power_sums(coeffs: Sequence[Sequence[Sequence]], kmax: int) -> list:
     return out
 
 
-def quadratic_form(v: Sequence, a: Sequence[Sequence], w: Sequence):
-    return sum(v[r] * sum(a[r][c] * w[c] for c in range(len(w))) for r in range(len(v)))
-
-
 def is_rational_matrix(a: Sequence[Sequence]) -> bool:
     return all(isinstance(x, (int, Fraction)) for row in a for x in row)
 
@@ -203,11 +188,7 @@ def is_symmetric(a: Sequence[Sequence], tol: float = 0.0) -> bool:
         return False
     for r in range(n):
         for c in range(r + 1, n):
-            diff = a[r][c] - a[c][r]
-            if tol == 0.0:
-                if diff != 0:
-                    return False
-            elif abs(diff) > tol:
+            if abs(a[r][c] - a[c][r]) > tol:
                 return False
     return True
 

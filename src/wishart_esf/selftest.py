@@ -16,7 +16,7 @@ from . import linalg, oracles, wishart
 from .matrix import UmbralMatrix
 from .umbra import UmbralPolynomial, deltas, evaluate, gaussian, indeterminates, singletons, similar, falling
 
-__all__ = ["CheckResult", "available_checks", "run_selftest"]
+__all__ = ["CheckResult", "run_selftest"]
 
 
 @dataclass(frozen=True)
@@ -202,10 +202,6 @@ _CHECKS = [
     ("matrix-identities", _check_matrix_identities),
     ("mc-reproducibility", _check_mc_reproducibility),
 ]
-
-
-def available_checks() -> list[str]:
-    return [name for name, _ in _CHECKS]
 
 
 def run_selftest(name_filter: str | None = None) -> list[CheckResult]:

@@ -89,7 +89,7 @@ class WishartParams:
             [Indeterminate(f"m{r + 1}{c + 1}")._lift() for c in range(n)] for r in range(p)
         ]
         params = cls(n, p, sigma, m)
-        params._theta_syms = theta
+        params.theta_syms = theta
         return params
 
     def _validate(self) -> None:
@@ -99,7 +99,9 @@ class WishartParams:
             raise ValueError("covariance must be p x p")
         if self.m is not None and not linalg.has_shape(self.m, self.p, self.n):
             raise ValueError("mean must be p x n")
-        if not all(math.isfinite(x) for row in self.sigma + (self.m or ()) for x in row):
+        entries = [x for row in self.sigma + (self.m or ()) for x in row]
+        # exact entries are finite, and may lie beyond the float range
+        if not all(isinstance(x, (int, Fraction)) or math.isfinite(x) for x in entries):
             raise ValueError("covariance and mean entries must be finite")
         tol = 0.0 if self.mode == "rational" else SYMMETRY_TOL * max(
             [1.0] + [abs(x) for row in self.sigma for x in row]
@@ -127,8 +129,6 @@ class WishartParams:
 
     @cached_property
     def theta_syms(self) -> list[Indeterminate]:
-        if hasattr(self, "_theta_syms"):
-            return self._theta_syms
         return indeterminates("th", self.p)
 
     def __repr__(self) -> str:
@@ -174,53 +174,17 @@ def _mean_terms(
         not isinstance(x, UmbralPolynomial) and x == 0 for row in m for x in row
     ):
         return UmbralPolynomial.zero()
-    p, n = len(m), len(m[0])
-    # k! 2^(k-1) sum_j x_j^(2(k-1)) c_j^T (D_y Sigma D_y)^(k-1) c_j with
-    # c_j = D_y m_j x_j: the block-diagonal structure of the Kronecker factor
-    # reduces the quadratic form to one p x p polynomial matrix power per
-    # column; at k = 1 the power is the identity and the factor is 1.
-    st_entries = []
-    for a in range(p):
-        row = []
-        for b in range(p):
-            sab = sigma[a][b]
-            if not isinstance(sab, UmbralPolynomial) and sab == 0:
-                row.append(UmbralPolynomial.zero())
-            else:
-                row.append(
-                    UmbralPolynomial.coerce(yv[a]).mul(
-                        UmbralPolynomial.coerce(yv[b]), prune=prune
-                    )
-                    * sab
-                )
-        st_entries.append(row)
-    st = UmbralMatrix.from_rows(st_entries)
-    st_k = st.matpow(k - 1, prune=prune)
+    # k! 2^(k-1) sum_j x_j^(2k) m_j^T H m_j with H = (D Sigma)^(k-1) D and
+    # D = diag(y_a^2): the block-diagonal Kronecker factor reduces the
+    # quadratic form in D_y m_j x_j to one p x p polynomial matrix power,
+    # shared by every column; at k = 1 the power is the identity and H = D.
+    d = UmbralMatrix.diag([_power(y, 2, prune) for y in yv])
+    h = d.matmul(UmbralMatrix.from_rows(sigma), prune).matpow(k - 1, prune).matmul(d, prune)
     total = UmbralPolynomial.zero()
-    for j in range(n):
-        col = []
-        for l in range(p):
-            mlj = m[l][j]
-            if not isinstance(mlj, UmbralPolynomial) and mlj == 0:
-                col.append(UmbralPolynomial.zero())
-            else:
-                col.append(
-                    UmbralPolynomial.coerce(yv[l]).mul(
-                        UmbralPolynomial.coerce(xv[j]), prune=prune
-                    )
-                    * mlj
-                )
-        quad = UmbralPolynomial.zero()
-        for a in range(p):
-            if col[a].is_zero:
-                continue
-            for b in range(p):
-                if col[b].is_zero:
-                    continue
-                quad = quad + col[a].mul(st_k.get(a, b), prune=prune).mul(col[b], prune=prune)
-        if quad.is_zero:
-            continue
-        total = total + _power(xv[j], 2 * (k - 1), prune).mul(quad, prune=prune)
+    for j in range(len(m[0])):
+        col = UmbralMatrix.from_rows([[row[j]] for row in m])
+        quad = col.transpose().matmul(h.matmul(col, prune), prune).get(0, 0)
+        total = total + _power(xv[j], 2 * k, prune).mul(quad, prune=prune)
     factor = math.factorial(k) * 2 ** (k - 1)
     return total.scale(factor)
 
@@ -434,10 +398,12 @@ def noncentral_chisq_cumulant(sigma, m: Sequence, k: int):
     if k < 1:
         raise ValueError("cumulant order must be positive")
     sigma = linalg.freeze(sigma)
-    power_k = linalg.mat_pow(sigma, k)
-    power_km1 = linalg.mat_pow(sigma, k - 1)
-    quad = linalg.quadratic_form(m, power_km1, m)
-    return math.factorial(k - 1) * 2 ** (k - 1) * (linalg.trace(power_k) + k * quad)
+    v = list(m)  # sigma^(k-1) m
+    for _ in range(k - 1):
+        v = [sum(x * y for x, y in zip(row, v)) for row in sigma]
+    quad = sum(x * y for x, y in zip(m, v))
+    trace_k = linalg.power_sums([sigma], k)[-1][0]
+    return math.factorial(k - 1) * 2 ** (k - 1) * (trace_k + k * quad)
 
 
 # -- the cross-term identity behind the scalar-covariance expansion ----------
@@ -453,35 +419,16 @@ def singleton_cross_term_identity(p: int, n: int, i: int, j: int, m: Sequence):
         raise ValueError("need 0 <= j <= i <= min(p, n)")
     if len(m) != p:
         raise ValueError("m must have length p")
-    chi = singletons(p, prefix="cy")
-    chit = singletons(n, prefix="cx")
+    chi = [c._lift() for c in singletons(p, prefix="cy")]
+    chit = [c._lift() for c in singletons(n, prefix="cx")]
     total = UmbralPolynomial.zero()
     for fixed in itertools.combinations(range(p), j):
         anchor = UmbralPolynomial.one()
-        skip = False
         for kk in fixed:
-            weight = m[kk] * m[kk]
-            if weight == 0:
-                skip = True
-                break
-            anchor = anchor.mul(chi[kk]._lift()).mul(chit[kk]._lift()).scale(weight)
-        if skip:
-            continue
-        rest_rows = [t for t in range(p) if t not in fixed]
-        rest_cols = [s for s in range(n) if s not in fixed]
-        sum_rows = UmbralPolynomial.zero()
-        for combo in itertools.combinations(rest_rows, i - j):
-            term = UmbralPolynomial.one()
-            for t in combo:
-                term = term.mul(chi[t]._lift())
-            sum_rows = sum_rows + term
-        sum_cols = UmbralPolynomial.zero()
-        for combo in itertools.combinations(rest_cols, i - j):
-            term = UmbralPolynomial.one()
-            for s in combo:
-                term = term.mul(chit[s]._lift())
-            sum_cols = sum_cols + term
-        total = total + anchor.mul(sum_rows).mul(sum_cols)
+            anchor = anchor.mul(chi[kk]).mul(chit[kk]).scale(m[kk] * m[kk])
+        rows = elementary_symmetric([c for t, c in enumerate(chi) if t not in fixed], i - j)
+        cols = elementary_symmetric([c for s, c in enumerate(chit) if s not in fixed], i - j)
+        total = total + anchor.mul(rows).mul(cols)
     kernel_value = evaluate(total).as_scalar()
     counting_value = (
         math.comb(n - j, i - j)

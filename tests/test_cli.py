@@ -197,6 +197,38 @@ class TestCompute:
         assert exact.returncode == EXIT_OK
         assert json.loads(exact.stdout)["results"][0]["value"] == str(6 * 10**360)
 
+    @pytest.mark.parametrize("method", ["umbral", "closed-form", "wick"])
+    def test_exact_entry_beyond_float_range_is_read_exactly(self, tmp_path, method):
+        sigma = tmp_path / "big.csv"
+        sigma.write_text("1" + "0" * 400 + ",0\n0,1\n")
+        argv = ["compute", "--method", method, "--n", "3", "--p", "2", "--sigma", str(sigma)]
+        result = run_cli(argv + ["--i", "1..2"])
+        assert result.returncode == EXIT_OK, result.stderr
+        values = [e["value"] for e in json.loads(result.stdout)["results"]]
+        assert values == [str(3 * (10**400 + 1)), str(6 * 10**400)]
+        decimal = tmp_path / "big_decimal.csv"
+        decimal.write_text("1e400,0\n0,1\n")
+        forced = run_cli(
+            ["compute", "--method", method, "--n", "3", "--p", "2", "--sigma", str(decimal)]
+            + ["--i", "2", "--mode", "rational"]
+        )
+        assert forced.returncode == EXIT_OK, forced.stderr
+        assert json.loads(forced.stdout)["results"][0]["value"] == str(6 * 10**400)
+
+    def test_mixed_files_beyond_float_range_are_usage_errors(self, tmp_path):
+        sigma = tmp_path / "big.csv"
+        sigma.write_text("1" + "0" * 400 + ",0\n0,1\n")
+        mean = tmp_path / "m.csv"
+        mean.write_text("0.5,0,0\n0,1.5,0\n")
+        result = run_cli(
+            ["compute", "--n", "3", "--p", "2", "--sigma", str(sigma), "--m", str(mean)]
+            + ["--i", "1"]
+        )
+        assert result.returncode == EXIT_USAGE
+        assert result.stdout == ""
+        assert "float range" in result.stderr and "--mode rational" in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_monte_carlo_beyond_float_range_says_so(self, tmp_path):
         sigma = tmp_path / "huge.csv"
         sigma.write_text("1e120,0,0\n0,1e120,0\n0,0,1e120\n")

@@ -86,6 +86,21 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             WishartParams(3, 2, ((1.0, 0.0), (0.0, 1.0)), ((float("inf"), 0, 0), (0, 1, 0)))
 
+    def test_exact_entries_beyond_float_range(self):
+        import numpy as np
+
+        big = 10**400
+        params = WishartParams(3, 2, ((big, 0), (0, 1)))
+        assert params.mode == "rational"
+        for route in (expected_esf_closed_form, expected_esf_umbral, wick_expected_esf):
+            assert route(params, 1) == 3 * (big + 1)
+            assert route(params, 2) == 6 * big
+        assert WishartParams(3, 2, ((Fraction(big, 3), 0), (0, 1))).mode == "rational"
+        # a non-finite float is still rejected, numpy scalars included
+        for bad in (np.float32("inf"), np.float64("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                WishartParams(3, 2, ((big, 0), (0, bad)))
+
     def test_mean_shape_checked(self):
         with pytest.raises(ValueError):
             WishartParams(3, 2, linalg.identity(2), ((1, 0), (0, 1)))
@@ -166,6 +181,34 @@ class TestCumulants:
         qt2 = mean_cumulant(params, 2)
         y, x = params.y_vars[0], params.x_vars[0]
         assert qt2 == 4 * s2 * mval**2 * (y**4 * x**4)
+
+    def test_mean_cumulant_dense_covariance_and_mean(self):
+        # away from the diagonal, at rational weights: the mean part of the
+        # k-th cumulant is sum_j x_j^(2k) times the mean part of the k-th
+        # cumulant of |D_y X_j|^2, X_j ~ N(m_j, Sigma)
+        rng = Random(12)
+        for _ in range(8):
+            p = rng.randint(1, 3)
+            n = rng.randint(p, 4)
+            sigma = rational_full_spd(rng, p)
+            m = rational_matrix(rng, p, n)
+            params = WishartParams(n, p, sigma, m)
+            yw = rational_vector(rng, p, span=2, max_den=2)
+            xw = rational_vector(rng, n, span=2, max_den=2)
+            s = [[yw[a] * sigma[a][b] * yw[b] for b in range(p)] for a in range(p)]
+            for k in range(1, 5):
+                poly = mean_cumulant(params, k)
+                for v, num in zip(params.y_vars + params.x_vars, yw + xw):
+                    poly = poly.substitute(v, num)
+                want = sum(
+                    xw[j] ** (2 * k)
+                    * (
+                        noncentral_chisq_cumulant(s, [yw[l] * m[l][j] for l in range(p)], k)
+                        - noncentral_chisq_cumulant(s, [0] * p, k)
+                    )
+                    for j in range(n)
+                )
+                assert poly.as_scalar() == want, (p, n, k)
 
     def test_float_cumulant_coefficients_are_floats(self):
         # unit float entries scale by 1.0, which must not leave int coefficients
