@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 ORTHOGONALITY_TOL = 1e-10
@@ -31,14 +32,10 @@ def identity(k: int) -> tuple:
     return tuple(tuple(1 if r == c else 0 for c in range(k)) for r in range(k))
 
 
-def transpose(a: Sequence[Sequence]) -> tuple:
-    return tuple(tuple(a[r][c] for r in range(len(a))) for c in range(len(a[0])))
-
-
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     if len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    bt = transpose(b)
+    bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
@@ -104,27 +101,37 @@ def inverse(a: Sequence[Sequence]) -> tuple:
     return tuple(tuple(row[n:]) for row in work)
 
 
-def charpoly(a: Sequence[Sequence]) -> list:
-    """``[e_0, ..., e_p]``: the elementary symmetric functions of the latent
-    roots of a square matrix, the coefficients of ``det(t I + A)``.
+def charpoly(a: Sequence[Sequence], top: int | None = None) -> list:
+    """``[e_0, ..., e_top]``: the elementary symmetric functions of the latent
+    roots of a square matrix, the coefficients of ``det(t I + A)``; all of
+    them, up to ``e_p``, when ``top`` is ``None`` or above the dimension.
 
     Berkowitz's division-free recurrence (IPL 18 (1984) 147-150) grows the
     characteristic polynomial one leading block at a time, using ring
     operations only: integer entries give integers, ``Fraction``s stay exact.
+    Each block multiplies by a lower triangular Toeplitz matrix, so the
+    coefficients up to ``top`` need only the first ``top + 1`` entries of
+    its column: block ``r`` makes ``min(r, top - 1)`` inner products.
     """
     p = len(a)
     if p != len(a[0]):
         raise ValueError("characteristic polynomial needs a square matrix")
+    if top is None or top > p:
+        top = p
+    elif top < 0:
+        raise ValueError("order must be nonnegative")
     coeffs = [1]  # det(t I - A_r) of the leading r x r block, leading term first
     for r in range(p):
         # first column of the Toeplitz factor, R and S the new row and column:
         # 1, -a_rr, -R S, -R A_r S, ...
-        col = [1, -a[r][r]]
+        row = a[r]
+        col = [1, -row[r]]
         v = [a[k][r] for k in range(r)]
-        for _ in range(r):
-            col.append(-sum(x * y for x, y in zip(a[r], v)))
-            v = [sum(x * y for x, y in zip(a[k], v)) for k in range(r)]
-        coeffs = [sum(col[j - k] * c for k, c in enumerate(coeffs[: j + 1])) for j in range(r + 2)]
+        for step in range(min(r, top - 1)):
+            if step:
+                v = [sum(map(mul, a[k], v)) for k in range(r)]
+            col.append(-sum(map(mul, row, v)))
+        coeffs = [sum(map(mul, col[j::-1], coeffs)) for j in range(min(r + 2, top + 1))]
     return [-c if k % 2 else c for k, c in enumerate(coeffs)]
 
 

@@ -23,6 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -100,12 +101,20 @@ class WishartParams:
         if self.m is not None and not linalg.has_shape(self.m, self.p, self.n):
             raise ValueError("mean must be p x n")
         entries = [x for row in self.sigma + (self.m or ()) for x in row]
-        # exact entries are finite, and may lie beyond the float range
+        # exact entries are finite; in rational mode they may lie beyond the float range
         if not all(isinstance(x, (int, Fraction)) or math.isfinite(x) for x in entries):
             raise ValueError("covariance and mean entries must be finite")
-        tol = 0.0 if self.mode == "rational" else SYMMETRY_TOL * max(
-            [1.0] + [abs(x) for row in self.sigma for x in row]
-        )
+        tol = 0.0
+        if self.mode == "float":
+            try:
+                sizes = [abs(float(x)) for x in entries]
+            except OverflowError:
+                raise ValueError(
+                    "an exact entry exceeds the float range; rational input "
+                    "(--mode rational) reads every entry exactly"
+                ) from None
+            # the first p * p entries are the covariance's
+            tol = SYMMETRY_TOL * max([1.0] + sizes[: self.p * self.p])
         if not linalg.is_symmetric(self.sigma, tol):
             raise ValueError("covariance must be symmetric")
         if not linalg.is_positive_definite(self.sigma):
@@ -313,7 +322,11 @@ def _integer_ratio(x) -> tuple[int, int]:
 
 def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[list[int]]]:
     """``(s, A, B)``: the integer matrices ``A = s Sigma`` and ``B = s M M^T``,
-    read from each entry's integer ratio, so exact for float entries too."""
+    read from each entry's integer ratio, so exact for float entries too.
+
+    With ``d`` the common denominator of the mean and ``M_i = d M``,
+    ``B = (s / d^2) M_i M_i^T`` comes from the dot products of the rows of
+    ``M_i``."""
     n, p = params.n, params.p
     m = [[_integer_ratio(x) for x in row] for row in params.m or ((0,) * n,) * p]
     sigma = [[_integer_ratio(x) for x in row] for row in params.sigma]
@@ -322,7 +335,7 @@ def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[l
     mi = [[u * (d // q) for u, q in row] for row in m]
     s = math.lcm(d * d, *(q for row in sigma for _, q in row))
     a = [[u * (s // q) for u, q in row] for row in sigma]
-    b = [[s // (d * d) * x for x in row] for row in linalg.mat_mul(mi, linalg.transpose(mi))]
+    b = [[s // (d * d) * sum(map(mul, r1, r2)) for r2 in mi] for r1 in mi]
     return s, a, b
 
 
@@ -376,13 +389,15 @@ def expected_esf_closed_form(params: WishartParams, i: int):
 
     ``e_i(A + t B)`` of the integer pencil (:func:`_integer_pencil`) is an
     integer polynomial of degree at most ``i`` in ``t``, recovered exactly
-    from :func:`linalg.charpoly` at ``t = 0..i``; the one division, by
-    ``s^i``, comes last.  The value is exact, and correctly rounded in float mode.
+    from :func:`linalg.charpoly`, stopped at ``e_i``, at ``t = 0..i``; when
+    ``B = 0`` it is the constant ``e_i(A)``, read at ``t = 0`` alone.  The
+    one division, by ``s^i``, comes last.  The value is exact, and correctly
+    rounded in float mode.
     """
     s, a, b = _integer_pencil(params)
     values = [
-        linalg.charpoly([[x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)])[i]
-        for t in range(i + 1)
+        linalg.charpoly([[x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)], i)[i]
+        for t in range(i + 1 if any(map(any, b)) else 1)
     ]
     coeffs = _integer_polynomial(values)
     total = sum(falling_factorial(params.n - k, i - k) * c for k, c in enumerate(coeffs))

@@ -30,6 +30,30 @@ class TestCharpoly:
         assert e == [1, 28, 284, 1327, 2876, 2316]
         assert all(type(x) is int for x in e)
 
+    def test_truncated_is_a_prefix(self, rng):
+        for _ in range(20):
+            p = rng.randint(1, 8)
+            rat = rational_matrix(rng, p, p, span=4, max_den=3)  # not symmetric
+            ints = tuple(tuple(rng.randint(-6, 6) for _ in range(p)) for _ in range(p))
+            sym = tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(rat, zip(*rat)))
+            for a in (rat, ints, sym):
+                full = linalg.charpoly(a)
+                for top in range(p + 1):
+                    assert linalg.charpoly(a, top) == full[: top + 1], (a, top)
+
+    def test_truncated_integer_entries_give_integers(self):
+        for top in range(6):
+            e = linalg.charpoly(INTEGER_SIGMA, top)
+            assert e == [1, 28, 284, 1327, 2876, 2316][: top + 1]
+            assert all(type(x) is int for x in e)
+
+    def test_top_above_dimension_gives_every_coefficient(self):
+        assert linalg.charpoly(INTEGER_SIGMA, 9) == linalg.charpoly(INTEGER_SIGMA)
+
+    def test_negative_top_is_rejected(self):
+        with pytest.raises(ValueError):
+            linalg.charpoly(INTEGER_SIGMA, -1)
+
     def test_requires_square(self):
         with pytest.raises(ValueError):
             linalg.charpoly(((1, 2),))

@@ -101,6 +101,15 @@ class TestParams:
             with pytest.raises(ValueError, match="finite"):
                 WishartParams(3, 2, ((big, 0), (0, bad)))
 
+    def test_float_mode_with_exact_entry_beyond_float_range(self):
+        # a float elsewhere makes the model float mode, where 10^400 has no
+        # float: a ValueError naming rational mode, not an OverflowError
+        big = 10**400
+        with pytest.raises(ValueError, match="--mode rational"):
+            WishartParams(3, 2, ((big, 0.5), (0.5, 1.0)))
+        with pytest.raises(ValueError, match="--mode rational"):
+            WishartParams(3, 2, ((1.0, 0.5), (0.5, 1.0)), ((Fraction(big, 3), 0, 0), (0, 1, 0)))
+
     def test_mean_shape_checked(self):
         with pytest.raises(ValueError):
             WishartParams(3, 2, linalg.identity(2), ((1, 0), (0, 1)))
@@ -567,6 +576,38 @@ class TestIntegerPencil:
         monkeypatch.setattr(wishart, "Fraction", CountingFraction)
         assert expected_esf_closed_form(params, 4) == want
         assert len(made) <= 2
+
+
+class TestClosedFormWork:
+    """Work guards: one order costs what that order needs."""
+
+    @staticmethod
+    def _count_charpoly(monkeypatch):
+        calls = []
+        full = linalg.charpoly
+
+        def counting(a, top=None):
+            calls.append(top)
+            return full(a, top)
+
+        monkeypatch.setattr(linalg, "charpoly", counting)
+        return calls
+
+    def test_central_profile_makes_one_call_per_order(self, rng, monkeypatch):
+        # with B = 0, e_i(A + tB) is constant in t: one point per order
+        params = WishartParams(9, 7, rational_full_spd(rng, 7))
+        want = [expected_esf_closed_form(params, i) for i in range(9)]
+        calls = self._count_charpoly(monkeypatch)
+        assert [expected_esf_closed_form(params, i) for i in range(9)] == want
+        assert calls == list(range(1, 8))
+
+    def test_noncentral_profile_stops_at_the_order(self, rng, monkeypatch):
+        # i + 1 interpolation points per order, each stopped at e_i
+        params = WishartParams(9, 7, rational_full_spd(rng, 7), rational_matrix(rng, 7, 9))
+        want = [expected_esf_closed_form(params, i) for i in range(9)]
+        calls = self._count_charpoly(monkeypatch)
+        assert [expected_esf_closed_form(params, i) for i in range(9)] == want
+        assert calls == [i for i in range(1, 8) for _ in range(i + 1)]
 
 
 class TestColumnCollapse:
