@@ -32,15 +32,6 @@ def identity(k: int) -> tuple:
     return tuple(tuple(1 if r == c else 0 for c in range(k)) for r in range(k))
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    if len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def trace(a: Sequence[Sequence]):
     return sum(a[i][i] for i in range(len(a)))
 
@@ -157,26 +148,32 @@ def principal_minor_sum(a: Sequence[Sequence], i: int):
 def power_sums(coeffs: Sequence[Sequence[Sequence]], kmax: int) -> list:
     """Traces of the powers of the matrix polynomial ``A(t) = sum_d t^d A_d``,
     given as ``coeffs = [A_0, A_1, ...]``: ``[tr A(t), ..., tr A(t)^kmax]``,
-    each a list of coefficients in ``t``, lowest degree first.  A plain
-    matrix ``A`` is ``[A]``.
+    each a list of coefficients in ``t``, lowest degree first; empty for
+    ``kmax = 0``.  A plain matrix ``A`` is ``[A]``.
 
     Only the powers up to ``ceil(kmax / 2)`` are formed, since
-    ``tr(A^(a+b)) = sum_(r,c) (A^a)_(rc) (A^b)_(cr)``.
+    ``tr(A^(a+b)) = tr(A^a A^b)``, and each trace of a product is one dot
+    product of the flattened operands, ``tr(X Y) = flat(X) . flat(Y^T)``.
     """
+    if kmax < 0:
+        raise ValueError("order must be nonnegative")
+    cols = [tuple(zip(*c)) for c in coeffs]
     powers = [list(coeffs)]
     while 2 * len(powers) < kmax:
         terms = [[] for _ in range(len(powers[-1]) + len(coeffs) - 1)]
         for a, x in enumerate(powers[-1]):
-            for b, y in enumerate(coeffs):
-                terms[a + b].append(mat_mul(x, y))
-        powers.append([tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats)) for mats in terms])
-    out = [[trace(c) for c in coeffs]]
+            for b, y in enumerate(cols):
+                terms[a + b].append([[sum(map(mul, row, col)) for col in y] for row in x])
+        powers.append([[list(map(sum, zip(*rows))) for rows in zip(*mats)] for mats in terms])
+    flat = [[[u for row in x for u in row] for x in power] for power in powers]
+    flat_t = [[[u for col in zip(*x) for u in col] for x in power] for power in powers]
+    out = [[trace(c) for c in coeffs]] if kmax else []
     for k in range(2, kmax + 1):
-        left, right = powers[(k + 1) // 2 - 1], powers[k // 2 - 1]
+        left, right = flat[(k + 1) // 2 - 1], flat_t[k // 2 - 1]
         sums = [0] * (len(left) + len(right) - 1)
         for a, x in enumerate(left):
             for b, y in enumerate(right):
-                sums[a + b] += sum(u * v for row, col in zip(x, zip(*y)) for u, v in zip(row, col))
+                sums[a + b] += sum(map(mul, x, y))
         out.append(sums)
     return out
 

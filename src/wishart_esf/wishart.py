@@ -284,14 +284,15 @@ def _canonical_kernel(n: int, i: int, k: int) -> int:
     columns, the ``i-k`` free rows and the ``n-k`` free columns are then
     exchangeable families; the squared weights of ``r`` of them sum to the
     dot-product umbra ``r.chi`` of Di Nardo & Senato (Eur. J. Combin. 27,
-    2006), one ``falling(r)`` umbra.  So ``c_1 = (f_y + 1) g + f_y f_x``, and
-    pruning leaves one monomial of ``c_1^i``, ``C(i, k) g^k f_y^(i-k)
-    f_x^(i-k)``, which evaluates to ``i! (n-k)_(i-k)``.
+    2006), one ``falling(r)`` umbra.  So ``c_1 = (f_y + 1) g + f_y f_x``,
+    built with one product as ``f_y (g + f_x) + g``, and pruning leaves one
+    monomial of ``c_1^i``, ``C(i, k) g^k f_y^(i-k) f_x^(i-k)``, which
+    evaluates to ``i! (n-k)_(i-k)``.
     """
     g = falling(k, name="g")._lift()
     fy = falling(i - k, name="fy")._lift()
     fx = falling(n - k, name="fx")._lift()
-    c1 = (fy + 1).mul(g) + fy.mul(fx)
+    c1 = fy.mul(g + fx) + g
     return evaluate(c1.pow(i)).as_scalar()
 
 
@@ -326,9 +327,8 @@ def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[l
 
     With ``d`` the common denominator of the mean and ``M_i = d M``,
     ``B = (s / d^2) M_i M_i^T`` comes from the dot products of the rows of
-    ``M_i``."""
-    n, p = params.n, params.p
-    m = [[_integer_ratio(x) for x in row] for row in params.m or ((0,) * n,) * p]
+    ``M_i``.  A central model reads only ``Sigma``; its ``B`` is zero."""
+    m = [[_integer_ratio(x) for x in row] for row in params.m or ()]
     sigma = [[_integer_ratio(x) for x in row] for row in params.sigma]
     # clear the mean's denominators first, so that M M^T is an integer product
     d = math.lcm(*(q for row in m for _, q in row))
@@ -336,7 +336,7 @@ def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[l
     s = math.lcm(d * d, *(q for row in sigma for _, q in row))
     a = [[u * (s // q) for u, q in row] for row in sigma]
     b = [[s // (d * d) * sum(map(mul, r1, r2)) for r2 in mi] for r1 in mi]
-    return s, a, b
+    return s, a, b or [[0] * params.p for _ in a]
 
 
 @guard_order
@@ -415,8 +415,8 @@ def noncentral_chisq_cumulant(sigma, m: Sequence, k: int):
     sigma = linalg.freeze(sigma)
     v = list(m)  # sigma^(k-1) m
     for _ in range(k - 1):
-        v = [sum(x * y for x, y in zip(row, v)) for row in sigma]
-    quad = sum(x * y for x, y in zip(m, v))
+        v = [sum(map(mul, row, v)) for row in sigma]
+    quad = sum(map(mul, m, v))
     trace_k = linalg.power_sums([sigma], k)[-1][0]
     return math.factorial(k - 1) * 2 ** (k - 1) * (trace_k + k * quad)
 

@@ -1,6 +1,9 @@
 """Exact linear algebra: the division-free characteristic polynomial against
-principal-minor enumeration, exact elimination of integer entries, and the
+principal-minor enumeration, the traces of matrix-polynomial powers against
+repeated products, exact elimination of integer entries, and the
 positive-definiteness pivots against Sylvester's criterion."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -59,13 +62,77 @@ class TestCharpoly:
             linalg.charpoly(((1, 2),))
 
 
+def naive_power_traces(coeffs, kmax):
+    """``tr A(t)^k`` for ``k = 1..kmax`` by repeated products of the matrix
+    polynomial, coefficient by coefficient in ``t``."""
+    p = len(coeffs[0])
+
+    def product(x, y):
+        return [[sum(x[r][j] * y[j][c] for j in range(p)) for c in range(p)] for r in range(p)]
+
+    power, out = list(coeffs), []
+    for k in range(1, kmax + 1):
+        if k > 1:
+            nxt = [[[0] * p for _ in range(p)] for _ in range(len(power) + len(coeffs) - 1)]
+            for a, x in enumerate(power):
+                for b, y in enumerate(coeffs):
+                    z = product(x, y)
+                    for r in range(p):
+                        for c in range(p):
+                            nxt[a + b][r][c] += z[r][c]
+            power = nxt
+        out.append([linalg.trace(x) for x in power])
+    return out
+
+
+class TestPowerSums:
+    def test_matches_repeated_products(self, rng):
+        # Fraction, int and symmetrised Fraction coefficients, mixed
+        for p in range(1, 7):
+            for degree in range(3):
+                kinds = [
+                    rational_matrix(rng, p, p),  # not symmetric
+                    tuple(tuple(rng.randint(-5, 5) for _ in range(p)) for _ in range(p)),
+                ]
+                sym = rational_matrix(rng, p, p)
+                kinds.append(tuple(tuple(x + y for x, y in zip(r, c)) for r, c in zip(sym, zip(*sym))))
+                coeffs = [kinds[(degree + d) % 3] for d in range(degree + 1)]
+                want = naive_power_traces(coeffs, 7)
+                for kmax in range(1, 8):
+                    assert linalg.power_sums(coeffs, kmax) == want[:kmax], (coeffs, kmax)
+
+    def test_one_by_one(self):
+        coeffs = [((Fraction(1, 2),),), ((3,),), ((-2,),)]  # 1/2 + 3t - 2t^2
+        for kmax in range(1, 8):
+            want = naive_power_traces(coeffs, kmax)
+            assert linalg.power_sums(coeffs, kmax) == want
+        assert linalg.power_sums([((2,),)], 3) == [[2], [4], [8]]
+
+    def test_integer_entries_give_integers(self):
+        sums = linalg.power_sums([INTEGER_SIGMA, linalg.identity(5)], 6)
+        assert sums == naive_power_traces([INTEGER_SIGMA, linalg.identity(5)], 6)
+        assert all(type(x) is int for s in sums for x in s)
+
+    def test_order_zero_is_empty(self):
+        assert linalg.power_sums([((2,),)], 0) == []
+        assert linalg.power_sums([INTEGER_SIGMA, INTEGER_SIGMA], 0) == []
+
+    def test_negative_order_is_rejected(self):
+        with pytest.raises(ValueError):
+            linalg.power_sums([((2,),)], -1)
+
+
 class TestExactElimination:
     def test_integer_determinant_is_exact(self):
         assert linalg.det(INTEGER_SIGMA) == 2316
 
     def test_integer_inverse_is_exact(self):
         inverse = linalg.inverse(INTEGER_SIGMA)
-        assert linalg.mat_mul(INTEGER_SIGMA, inverse) == linalg.identity(5)
+        product = tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*inverse))
+            for row in INTEGER_SIGMA
+        )
+        assert product == linalg.identity(5)
 
 
 def leading_minors_positive(a) -> bool:

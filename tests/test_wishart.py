@@ -610,6 +610,40 @@ class TestClosedFormWork:
         assert calls == [i for i in range(1, 8) for _ in range(i + 1)]
 
 
+class TestUmbralWork:
+    """Work guards: one product per kernel run, and a central pencil that
+    reads only the covariance."""
+
+    def test_kernel_run_makes_one_product(self, monkeypatch):
+        packed_mul = UmbralPolynomial.mul
+        calls = []
+
+        def counting(poly, other, prune=True):
+            calls.append(1)
+            return packed_mul(poly, other, prune)
+
+        monkeypatch.setattr(UmbralPolynomial, "mul", counting)
+        for i in range(1, 7):
+            for k in range(i + 1):
+                calls.clear()
+                assert wishart._canonical_kernel(7, i, k) == math.factorial(i) * falling_factorial(7 - k, i - k)
+                assert len(calls) == 1, (i, k)
+
+    def test_central_pencil_reads_only_the_covariance(self, rng, monkeypatch):
+        params = WishartParams(6, 4, rational_full_spd(rng, 4))
+        want = wishart._integer_pencil(params)
+        read = []
+        ratio = wishart._integer_ratio
+
+        def counting(x):
+            read.append(x)
+            return ratio(x)
+
+        monkeypatch.setattr(wishart, "_integer_ratio", counting)
+        assert wishart._integer_pencil(params) == want
+        assert len(read) == 16
+
+
 class TestColumnCollapse:
     """The columns the mean leaves untouched share one falling-factorial
     umbra, and cumulants past the first are not built under delta weights."""
