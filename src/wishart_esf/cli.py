@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
-from . import linalg, oracles, selftest, wishart
+from . import oracles, selftest, wishart
 
 __all__ = [
     "main",
@@ -35,6 +35,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 FLOAT_RTOL = 1e-8
+METHODS = ("closed-form", "umbral", "wick", "mc")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -116,19 +117,8 @@ def write_matrix_csv(path: str, matrix: Sequence[Sequence]) -> None:
 
 
 def _build_params(args) -> wishart.WishartParams:
-    sigma, sigma_mode = parse_matrix_csv(args.sigma, args.mode)
-    m = None
-    if getattr(args, "m", None):
-        m, m_mode = parse_matrix_csv(args.m, args.mode)
-        if args.mode is None and {sigma_mode, m_mode} == {"rational", "float"}:
-            # never mix scalar towers inside one computation
-            try:
-                sigma, m = linalg.to_float(sigma), linalg.to_float(m)
-            except OverflowError:
-                raise UsageError(
-                    "an exact entry exceeds the float range; "
-                    "--mode rational reads every file exactly"
-                ) from None
+    sigma, _ = parse_matrix_csv(args.sigma, args.mode)
+    m = parse_matrix_csv(args.m, args.mode)[0] if args.m else None
     try:
         return wishart.WishartParams(args.n, args.p, sigma, m)
     except ValueError as exc:
@@ -155,6 +145,7 @@ def _parse_orders(text: str) -> list[int]:
 def _method_value(method: str, params, i: int, args) -> dict:
     started = time.perf_counter()
     entry: dict = {"method": method, "i": i}
+    # routes are looked up at each call, so a wrapper installed later sees it
     try:
         if method == "closed-form":
             value = wishart.expected_esf_closed_form(params, i)
@@ -162,25 +153,34 @@ def _method_value(method: str, params, i: int, args) -> dict:
             value = wishart.expected_esf_umbral(params, i)
         elif method == "wick":
             value = oracles.wick_expected_esf(params, i)
-        elif method == "mc":
-            if args.samples < 2:
-                raise UsageError("--samples must be at least 2")
-            if args.seed < 0:
-                raise UsageError("--seed must be nonnegative")
-            est = oracles.mc_expected_esf(params, i, args.samples, args.seed)
-            entry["stderr"] = est.stderr
-            entry["samples"] = est.samples
-            entry["seed"] = est.seed
-            value = est.value
         else:
-            raise UsageError(f"unknown method {method!r}")
+            est = oracles.mc_expected_esf(params, i, args.samples, args.seed)
+            entry.update(stderr=est.stderr, samples=est.samples, seed=est.seed)
+            value = est.value
     except (ValueError, ArithmeticError) as exc:
         raise NumericalError(f"{method} failed at i={i}: {exc}") from exc
-    entry["value"] = format_scalar(value) if isinstance(value, Fraction) else value
-    entry["_raw"] = value
+    entry["value"] = value
     if not args.no_timing:
         entry["timing_ms"] = round(1000 * (time.perf_counter() - started), 3)
     return entry
+
+
+def _evaluate(args, methods: list[str]) -> tuple[wishart.WishartParams, list[tuple[int, dict]]]:
+    """Every usage check, then each (order, method) pair evaluated once:
+    the model and, per order, each method's entry."""
+    for method in methods:
+        if method not in METHODS:
+            raise UsageError(f"unknown method {method!r}")
+    if len(set(methods)) < len(methods):
+        raise UsageError("each method may be named only once")
+    if "mc" in methods:
+        if args.samples < 2:
+            raise UsageError("--samples must be at least 2")
+        if args.seed < 0:
+            raise UsageError("--seed must be nonnegative")
+    orders = _parse_orders(args.i)
+    params = _build_params(args)
+    return params, [(i, {m: _method_value(m, params, i, args) for m in methods}) for i in orders]
 
 
 def _params_echo(params: wishart.WishartParams) -> dict:
@@ -195,13 +195,10 @@ def _params_echo(params: wishart.WishartParams) -> dict:
     return echo
 
 
-def _strip_private(entries: list[dict]) -> list[dict]:
-    return [{k: v for k, v in e.items() if not k.startswith("_")} for e in entries]
-
-
 def _emit(args, payload: dict, csv_rows: list[list] | None = None) -> None:
     if args.output == "json":
-        text = json.dumps(payload, indent=2)
+        # an exact value is reported as the string "a/b"
+        text = json.dumps(payload, indent=2, default=format_scalar)
     else:
         lines = [",".join(str(c) for c in row) for row in csv_rows or []]
         text = "\n".join(lines)
@@ -229,18 +226,18 @@ def _emit(args, payload: dict, csv_rows: list[list] | None = None) -> None:
 
 
 def _cmd_compute(args) -> int:
-    params = _build_params(args)
-    entries = [_method_value(args.method, params, i, args) for i in _parse_orders(args.i)]
+    params, grid = _evaluate(args, [args.method])
+    entries = [row[args.method] for _, row in grid]
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "compute",
         "method": args.method,
         "mode": params.mode,
         "params": _params_echo(params),
-        "results": _strip_private(entries),
+        "results": entries,
     }
     csv_rows = [["method", "i", "value", "stderr"]] + [
-        [e["method"], e["i"], format_scalar(e["_raw"]), e.get("stderr", "")] for e in entries
+        [e["method"], e["i"], e["value"], e.get("stderr", "")] for e in entries
     ]
     _emit(args, payload, csv_rows)
     return EXIT_OK
@@ -255,7 +252,7 @@ def _tolerance_kind(methods: list[str], mode: str) -> str:
 
 
 def _values_agree(kind: str, base: dict, other: dict) -> tuple[bool, float]:
-    a, b = base["_raw"], other["_raw"]
+    a, b = base["value"], other["value"]
     if kind == "exact" and isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b, float(abs(a - b))
     fa, fb = float(a), float(b)
@@ -271,26 +268,21 @@ def _cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
-    params = _build_params(args)
+    params, grid = _evaluate(args, methods)
     rows = []
     worst = EXIT_OK
-    for i in _parse_orders(args.i):
-        entries = {m: _method_value(m, params, i, args) for m in methods}
+    for i, entries in grid:
         base = entries[methods[0]]
-        row: dict = {"i": i, "values": {m: entries[m].get("value") for m in methods}}
         deviations = {}
-        ok = True
         for m in methods[1:]:
             kind = _tolerance_kind([methods[0], m], params.mode)
             agree, diff = _values_agree(kind, base, entries[m])
             deviations[m] = {"abs": diff, "kind": kind, "pass": agree}
             if not agree:
-                ok = False
-                failure = EXIT_STATISTICAL if kind == "statistical" else EXIT_NUMERICAL
-                worst = max(worst, failure)
-        row["deviations"] = deviations
-        row["pass"] = ok
-        rows.append(row)
+                worst = max(worst, EXIT_STATISTICAL if kind == "statistical" else EXIT_NUMERICAL)
+        values = {m: e["value"] for m, e in entries.items()}
+        ok = all(d["pass"] for d in deviations.values())
+        rows.append({"i": i, "values": values, "deviations": deviations, "pass": ok})
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "compare",
@@ -311,11 +303,8 @@ def _cmd_table(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("table needs at least one method")
-    params = _build_params(args)
-    rows = []
-    for i in _parse_orders(args.i):
-        entries = {m: _method_value(m, params, i, args) for m in methods}
-        rows.append({"i": i, "values": {m: entries[m].get("value") for m in methods}})
+    params, grid = _evaluate(args, methods)
+    rows = [{"i": i, "values": {m: e["value"] for m, e in entries.items()}} for i, entries in grid]
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "table",
@@ -382,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compute = subs.add_parser("compute", help="one method, one or more orders")
     _add_model_arguments(compute)
-    compute.add_argument(
-        "--method", choices=["closed-form", "umbral", "wick", "mc"], default="closed-form"
-    )
+    compute.add_argument("--method", choices=METHODS, default="closed-form")
     compute.set_defaults(func=_cmd_compute)
 
     compare = subs.add_parser("compare", help="run several methods and check agreement")

@@ -125,11 +125,10 @@ def wick_expected_esf(params: WishartParams, i: int):
 def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
     """Exact i-th moment of ``tr[(D_y X D_x)(D_y X D_x)^T]`` at numeric
     weights: the quadratic form ``sum y_a^2 x_j^2 X[a,j]^2`` raised to the
-    i-th power and paired out term by term."""
+    i-th power and paired out term by term.  The value is a ``Fraction`` in
+    rational mode and a float in float mode."""
     if i < 0:
         raise ValueError("order must be nonnegative")
-    if i == 0:
-        return Fraction(1) if params.mode == "rational" else 1.0
     if params.p * params.n * i > WICK_DEGREE_LIMIT:
         raise ValueError("wick oracle limit")
     mean, cov = _entry_mean_cov(params)
@@ -147,7 +146,7 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
         value = _partial_pairing_expectation(tuple(labels), mean, cov)
         if value != 0:
             total = total + coeff * value
-    return total
+    return Fraction(total) if params.mode == "rational" else float(total)
 
 
 # -- seeded Monte Carlo ---------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -61,11 +62,12 @@ class WishartParams:
     """Degrees of freedom, dimension, row covariance and mean of ``W = X X^T``.
 
     ``sigma`` must be symmetric positive definite with ``n >= p``; ``m`` is a
-    ``p x n`` mean matrix or ``None`` for the central case.  Entries decide
-    the arithmetic mode: all int/Fraction means exact rational, any float
-    means floating point.  ``symbolic()`` builds a validation-free variant
-    whose diagonal covariance entries and mean entries are indeterminates,
-    for inspecting cumulants as printable polynomials.
+    ``p x n`` mean matrix or ``None`` for the central case.  The entries
+    decide ``mode``, set once: ``"rational"`` when every entry is an int or
+    ``Fraction``, ``"float"`` when any entry is a float, and ``"symbolic"``
+    for the validation-free variant ``symbolic()`` builds, whose diagonal
+    covariance entries and mean entries are indeterminates, for inspecting
+    cumulants as printable polynomials.
     """
 
     def __init__(self, n: int, p: int, sigma, m=None) -> None:
@@ -73,10 +75,11 @@ class WishartParams:
         self.p = int(p)
         self.sigma = linalg.freeze(sigma)
         self.m = linalg.freeze(m) if m is not None else None
-        self.symbolic_mode = any(
-            isinstance(x, UmbralPolynomial) for row in self.sigma for x in row
-        )
-        if not self.symbolic_mode:
+        if any(isinstance(x, UmbralPolynomial) for row in self.sigma for x in row):
+            self.mode = "symbolic"
+        else:
+            rational = linalg.is_rational_matrix(self.sigma + (self.m or ()))
+            self.mode = "rational" if rational else "float"
             self._validate()
 
     @classmethod
@@ -121,12 +124,6 @@ class WishartParams:
             raise ValueError("covariance must be positive definite")
 
     # -- structure ------------------------------------------------------------
-
-    @cached_property
-    def mode(self) -> str:
-        if self.symbolic_mode:
-            return "symbolic"
-        return "rational" if linalg.is_rational_matrix(self.sigma + (self.m or ())) else "float"
 
     @cached_property
     def y_vars(self) -> list[Indeterminate]:
@@ -253,7 +250,7 @@ def guard_order(route):
 
     @functools.wraps(route)
     def guarded(params: WishartParams, i: int):
-        if params.symbolic_mode:
+        if params.mode == "symbolic":
             raise ValueError("symbolic parameter sets cannot be evaluated numerically")
         if i < 0:
             raise ValueError("order must be nonnegative")
@@ -409,11 +406,15 @@ def expected_esf_closed_form(params: WishartParams, i: int):
 
 def noncentral_chisq_cumulant(sigma, m: Sequence, k: int):
     """k-th cumulant of ``|X|^2`` for ``X ~ N(m, sigma)``:
-    ``(k-1)! 2^{k-1} [tr(sigma^k) + k m^T sigma^{k-1} m]``."""
+    ``(k-1)! 2^{k-1} [tr(sigma^k) + k m^T sigma^{k-1} m]``.  Numpy integers
+    are read as Python ints, whose products do not wrap at 64 bits."""
     if k < 1:
         raise ValueError("cumulant order must be positive")
-    sigma = linalg.freeze(sigma)
-    v = list(m)  # sigma^(k-1) m
+    sigma = [[int(x) if isinstance(x, numbers.Integral) else x for x in row] for row in sigma]
+    m = [int(x) if isinstance(x, numbers.Integral) else x for x in m]
+    if not linalg.has_shape(sigma, len(m), len(m)):
+        raise ValueError("need a p x p covariance and a mean of length p")
+    v = m  # sigma^(k-1) m
     for _ in range(k - 1):
         v = [sum(map(mul, row, v)) for row in sigma]
     quad = sum(map(mul, m, v))

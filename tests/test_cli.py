@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wishart_esf import oracles, wishart
 from wishart_esf.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -229,6 +230,32 @@ class TestCompute:
         assert "float range" in result.stderr and "--mode rational" in result.stderr
         assert "Traceback" not in result.stderr
 
+    def test_mixed_files_give_the_library_value(self, tmp_path, capsys):
+        # an exact covariance with a decimal mean: the model as written, in
+        # float mode, not the covariance rounded to floats first
+        sigma = tmp_path / "s.csv"
+        sigma.write_text("1/3,1/7\n1/7,2/3\n")
+        mean = tmp_path / "m.csv"
+        mean.write_text("0.1,0.2,0.3\n0.7,-0.4,0.5\n")
+        params = wishart.WishartParams(
+            3, 2, parse_matrix_csv(str(sigma))[0], parse_matrix_csv(str(mean))[0]
+        )
+        model = ["--n", "3", "--p", "2", "--sigma", str(sigma), "--m", str(mean), "--i", "2"]
+        routes = {
+            "closed-form": wishart.expected_esf_closed_form,
+            "umbral": wishart.expected_esf_umbral,
+        }
+        for method, route in routes.items():
+            assert main(["compute", "--method", method, "--no-timing", *model]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert report["mode"] == "float"
+            assert report["params"]["sigma"][0] == ["1/3", "1/7"]
+            assert report["results"][0]["value"] == route(params, 2) == 2.0239510204081634
+        code = main(["compare", "--methods", "closed-form,umbral", "--no-timing", *model])
+        assert code == EXIT_OK
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        assert row["values"] == {m: route(params, 2) for m, route in routes.items()}
+
     def test_monte_carlo_beyond_float_range_says_so(self, tmp_path):
         sigma = tmp_path / "huge.csv"
         sigma.write_text("1e120,0,0\n0,1e120,0\n0,0,1e120\n")
@@ -366,6 +393,49 @@ class TestCompare:
             ]
         )
         assert result.returncode == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["compare", "table"])
+    def test_repeated_method_is_usage_error(self, identity2, capsys, command):
+        # compared with itself, a method would pass vacuously
+        code = main(
+            [command, "--methods", "umbral,umbral", "--output", "csv"]
+            + ["--n", "3", "--p", "2", "--sigma", identity2, "--i", "1"]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == "" and "once" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--methods", "mc,bogus"],
+            ["compare", "--methods", "closed-form,umbral,closed-form"],
+            ["table", "--methods", "umbral,mc", "--samples", "1"],
+            ["table", "--methods", "wick,mc", "--seed", "-1"],
+            ["compare", "--methods", "umbral,closed-form", "--i", "3..1"],
+        ],
+    )
+    def test_usage_errors_come_before_any_method_runs(
+        self, identity2, capsys, monkeypatch, argv
+    ):
+        calls = []
+        for module, name in [
+            (wishart, "expected_esf_closed_form"),
+            (wishart, "expected_esf_umbral"),
+            (oracles, "wick_expected_esf"),
+            (oracles, "mc_expected_esf"),
+        ]:
+
+            def counted(*args, route=getattr(module, name), **kwargs):
+                calls.append(route.__name__)
+                return route(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        argv = argv + ["--n", "3", "--p", "2", "--sigma", identity2]
+        code = main(argv if "--i" in argv else argv + ["--i", "1..2"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == "" and "error" in err
+        assert calls == []
 
     def test_statistical_failure_exit_code(self, identity2, capsys):
         # 2 samples cannot match the exact value within 4 stderr every time;

@@ -138,6 +138,18 @@ class TestWickTraceMoment:
         got = wick_trace_moment(params, [1, 0], [1, 0], 1)
         assert got == 1  # only the (1,1) cell survives
 
+    def test_value_type_follows_the_mode(self):
+        rational = WishartParams(3, 2, linalg.identity(2))
+        floating = WishartParams(3, 2, ((1.0, 0.0), (0.0, 1.0)))
+        for i in (0, 1, 2):
+            exact = wick_trace_moment(rational, [1, 1], [1, 1, 1], i)
+            assert type(exact) is Fraction
+            assert type(wick_trace_moment(floating, [1, 1], [1, 1, 1], i)) is float
+            # with every weight zero only the empty product, at i = 0, survives
+            assert wick_trace_moment(floating, [0, 0], [0, 0, 0], i) == float(i == 0)
+            assert type(wick_trace_moment(floating, [0, 0], [0, 0, 0], i)) is float
+        assert wick_trace_moment(rational, [1, 1], [1, 1, 1], 1) == 6
+
 
 class TestMonteCarlo:
     def test_reproducibility(self):

@@ -854,6 +854,21 @@ class TestQuadraticFormCumulants:
         sigma = ((Fraction(2), 0), (0, Fraction(5)))
         assert noncentral_chisq_cumulant(sigma, [0, 0], 2) == 2 * (4 + 25)
 
+    def test_numpy_integers_do_not_wrap(self):
+        import numpy as np
+
+        sigma = [[3_000_000_000, 0], [0, 3_000_000_000]]
+        want = 36_000_000_012_000_000_000
+        assert noncentral_chisq_cumulant(sigma, [1, 0], 2) == want
+        got = noncentral_chisq_cumulant(np.array(sigma), np.array([1, 0]), 2)
+        assert type(got) is int and got == want
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="length p"):
+            noncentral_chisq_cumulant(linalg.identity(2), [1, 2, 3], 2)
+        with pytest.raises(ValueError, match="p x p"):
+            noncentral_chisq_cumulant(((1, 0, 0), (0, 1, 0)), [1, 2], 2)
+
     def test_generating_coefficients_match_bell_map(self):
         sigma = ((Fraction(1), 0), (0, Fraction(4)))
         m = (Fraction(1), Fraction(-1, 2))
