@@ -13,7 +13,6 @@ from .combinatorics import (
     elementary_symmetric_via_cycle_classes,
     enumerate_partitions,
     falling_factorial,
-    perfect_matchings,
 )
 from .matrix import UmbralMatrix
 from .oracles import mc_expected_esf, wick_expected_esf, wick_trace_moment
@@ -46,7 +45,6 @@ __all__ = [
     "elementary_symmetric_via_cycle_classes",
     "enumerate_partitions",
     "falling_factorial",
-    "perfect_matchings",
     "UmbralMatrix",
     "mc_expected_esf",
     "wick_expected_esf",

@@ -28,7 +28,6 @@ from . import oracles, selftest, wishart
 __all__ = [
     "main",
     "parse_matrix_csv",
-    "write_matrix_csv",
     "parse_scalar",
     "format_scalar",
 ]
@@ -105,12 +104,6 @@ def parse_matrix_csv(path: str, mode: str | None = None) -> tuple[tuple, str]:
     actual_mode = mode or detect_mode(cells)
     matrix = tuple(tuple(parse_scalar(c, actual_mode) for c in row) for row in cells)
     return matrix, actual_mode
-
-
-def write_matrix_csv(path: str, matrix: Sequence[Sequence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(",".join(format_scalar(v) for v in row) + "\n")
 
 
 # -- shared plumbing -------------------------------------------------------------

@@ -25,9 +25,7 @@ __all__ = [
     "elementary_symmetric_from_power_sums",
     "elementary_symmetric_via_bell",
     "elementary_symmetric_via_cycle_classes",
-    "elementary_symmetric_via_permutations",
     "diagonal_joint_moment",
-    "perfect_matchings",
     "falling_factorial",
 ]
 
@@ -246,52 +244,6 @@ def _cycle_lengths(perm: Sequence[int]) -> list[int]:
 def permutation_sign(perm: Sequence[int]) -> int:
     """+1 for an even permutation of ``0..len(perm)-1``, -1 for an odd one."""
     return -1 if (len(perm) - len(_cycle_lengths(perm))) % 2 else 1
-
-
-def elementary_symmetric_via_permutations(y: Sequence, i: int):
-    """Brute-force oracle iterating all i! permutations and their cycles.
-
-    Exponential cost; refuses i > 5.  Kept for cross-checking the
-    partition-weighted sum, never for production use.
-    """
-    if i == 0:
-        return 1
-    if i > 5:
-        raise ValueError("permutation oracle limited to i <= 5")
-    total = 0
-    for perm in itertools.permutations(range(i)):
-        lengths = _cycle_lengths(perm)
-        term = 1
-        for size in lengths:
-            term = term * power_sum(y, size)
-        total = total + (-1) ** (i - len(lengths)) * term
-    return divide_by_factorial(total, i)
-
-
-def perfect_matchings(m: int) -> list[tuple[tuple[int, int], ...]]:
-    """All perfect matchings of ``{0, ..., m-1}``, deterministic order.
-
-    There are (m-1)!! of them; ``m`` odd raises ``ValueError``.
-    """
-    if m < 0 or m % 2:
-        raise ValueError("no pair partition of an odd set")
-    if m == 0:
-        return [()]
-    out: list[tuple[tuple[int, int], ...]] = []
-
-    def pair_up(free: list[int], acc: list[tuple[int, int]]) -> None:
-        if not free:
-            out.append(tuple(acc))
-            return
-        first = free[0]
-        for idx in range(1, len(free)):
-            partner = free[idx]
-            acc.append((first, partner))
-            pair_up(free[1:idx] + free[idx + 1 :], acc)
-            acc.pop()
-
-    pair_up(list(range(m)), [])
-    return out
 
 
 def falling_factorial(n: int, k: int) -> int:

@@ -64,7 +64,7 @@ class UmbralMatrix:
 
     # -- algebra ---------------------------------------------------------------
 
-    def matmul(self, other: "UmbralMatrix", prune: bool = True) -> "UmbralMatrix":
+    def matmul(self, other: "UmbralMatrix") -> "UmbralMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         out = []
@@ -72,21 +72,21 @@ class UmbralMatrix:
             for c in range(other.cols):
                 acc = UmbralPolynomial.zero()
                 for t in range(self.cols):
-                    acc = acc + self.get(r, t).mul(other.get(t, c), prune=prune)
+                    acc = acc + self.get(r, t).mul(other.get(t, c))
                 out.append(acc)
         return UmbralMatrix(self.rows, other.cols, out)
 
     def __matmul__(self, other):
         return self.matmul(other)
 
-    def matpow(self, k: int, prune: bool = True) -> "UmbralMatrix":
+    def matpow(self, k: int) -> "UmbralMatrix":
         if self.rows != self.cols:
             raise ValueError("matrix power needs a square matrix")
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         result = UmbralMatrix.identity(self.rows)
         for _ in range(k):
-            result = result.matmul(self, prune=prune)
+            result = result.matmul(self)
         return result
 
     def transpose(self) -> "UmbralMatrix":
@@ -100,16 +100,6 @@ class UmbralMatrix:
         for r in range(self.rows):
             acc = acc + self.get(r, r)
         return acc
-
-    def __add__(self, other: "UmbralMatrix") -> "UmbralMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in matrix sum")
-        return UmbralMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self._entries, other._entries)]
-        )
-
-    def scale(self, c) -> "UmbralMatrix":
-        return UmbralMatrix(self.rows, self.cols, [e * c for e in self._entries])
 
     def det(self) -> UmbralPolynomial:
         """Signed permutation-sum determinant; exact over the ring.

@@ -28,7 +28,6 @@ __all__ = [
     "wick_expected_esf",
     "wick_trace_moment",
     "mc_expected_esf",
-    "mc_trace_moment",
 ]
 
 WICK_DEGREE_LIMIT = 12
@@ -209,39 +208,12 @@ def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> E
     if samples < 2:
         raise ValueError("need at least 2 samples")
     if i > params.p:
-        values = np.zeros(samples)
-    else:
-        chunks = []
-        for x in _sample_batches(params, samples, seed):
-            w = np.matmul(x, np.transpose(x, (0, 2, 1)))
-            chunks.append(_batched_esf(w, i))
-        values = np.concatenate(chunks)
-    return _summarize(values, samples, seed)
-
-
-def mc_trace_moment(
-    params: WishartParams, i: int, y: Sequence, x: Sequence, samples: int, seed: int
-) -> Estimate:
-    """Seeded Monte Carlo estimate of the i-th moment of the weighted squared
-    trace at numeric weights."""
-    import numpy as np
-
-    if i < 0:
-        raise ValueError("order must be nonnegative")
-    if i == 0:
-        return Estimate(value=1.0, stderr=0.0, samples=samples, seed=seed)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    weights = np.outer(
-        np.array([float(v) for v in y]) ** 2, np.array([float(v) for v in x]) ** 2
-    )
+        return Estimate(value=0.0, stderr=0.0, samples=samples, seed=seed)
     chunks = []
-    for xs in _sample_batches(params, samples, seed):
-        q = np.einsum("aj,baj->b", weights, xs**2)
-        with np.errstate(over="ignore"):
-            chunks.append(q**i)
-    values = np.concatenate(chunks)
-    return _summarize(values, samples, seed)
+    for x in _sample_batches(params, samples, seed):
+        w = np.matmul(x, np.transpose(x, (0, 2, 1)))
+        chunks.append(_batched_esf(w, i))
+    return _summarize(np.concatenate(chunks), samples, seed)
 
 
 def _summarize(values, samples: int, seed: int) -> Estimate:

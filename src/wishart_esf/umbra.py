@@ -15,8 +15,8 @@ eagerly, because exponents only ever grow under products.
 Each product packs the monomials of both operands into Python ints, one bit
 field per variable (the packed monomials of Monagan & Pearce, *Sparse
 polynomial division using heaps*, JSC 2011): a term pair costs one integer
-add, and under pruning one mask test against guard bits that a biased field
-sets exactly when a bounded umbra passes ``max_power``.  Surviving keys are
+add and one mask test against guard bits, which a biased field sets exactly
+when a bounded umbra passes ``max_power``.  Surviving keys are
 unpacked back to the ``(umbra_powers, indet_powers)`` tuples of
 :class:`UmbralPolynomial`, once per power: a power runs on one layout sized
 for its last step, and each step's keys are the next step's left operand.
@@ -31,13 +31,12 @@ to variables: a computation's variables are freed along with its results.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
 import threading
 from fractions import Fraction
 from typing import Callable, Union
 
-from .combinatorics import divide_by_factorial, falling_factorial
+from .combinatorics import falling_factorial
 
 __all__ = [
     "Umbra",
@@ -49,7 +48,6 @@ __all__ = [
     "gaussian",
     "falling",
     "evaluate",
-    "gf_coefficients",
     "similar",
 ]
 
@@ -213,16 +211,16 @@ class _Layout:
     """Bit fields for the monomials of one product, one field per variable.
 
     A field is wide enough for the largest exponent sum the product can
-    form, so packed keys add without carrying between fields.  Under pruning,
-    the field of an umbra whose exponent sum can exceed its ``max_power`` c
-    gets a guard bit at position k and a bias ``2^k - 1 - c`` on the left
-    operand's keys: the guard bit of a sum is set exactly when that umbra's
-    exponent exceeds c.
+    form, so packed keys add without carrying between fields.  The field of
+    an umbra whose exponent sum can exceed its ``max_power`` c gets a guard
+    bit at position k and a bias ``2^k - 1 - c`` on the left operand's keys:
+    the guard bit of a sum is set exactly when that umbra's exponent
+    exceeds c.
     """
 
     __slots__ = ("offsets", "bias", "guard", "umbra_fields", "indet_fields")
 
-    def __init__(self, top_left: dict, top_right: dict, prune: bool) -> None:
+    def __init__(self, top_left: dict, top_right: dict) -> None:
         self.offsets: dict = {}
         self.bias = self.guard = 0
         self.umbra_fields: list = []
@@ -231,7 +229,7 @@ class _Layout:
         for v in sorted(top_left.keys() | top_right.keys(), key=lambda v: v.ident):
             total = top_left.get(v, 0) + top_right.get(v, 0)
             is_umbra = isinstance(v, Umbra)
-            cap = v.max_power if prune and is_umbra else None
+            cap = v.max_power if is_umbra else None
             if cap is None or total <= cap:
                 width = total.bit_length()
             else:
@@ -344,10 +342,6 @@ class UmbralPolynomial:
 
     # -- inspection --------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def terms(self):
         """Read-only view of the canonical term map."""
         return self._terms.items()
@@ -400,18 +394,16 @@ class UmbralPolynomial:
             return self
         return UmbralPolynomial({k: v * c for k, v in self._terms.items()})
 
-    def mul(self, other, prune: bool = True) -> "UmbralPolynomial":
-        """Product over the commutative ring.
-
-        With ``prune`` set, any monomial in which some umbra exceeds its
-        largest possibly-nonzero moment order is dropped immediately; such
-        monomials evaluate to zero in every context since exponents never
-        decrease.
+    def mul(self, other) -> "UmbralPolynomial":
+        """Product over the commutative ring.  Any monomial in which some
+        umbra exceeds its largest possibly-nonzero moment order is dropped
+        immediately; such monomials evaluate to zero in every context since
+        exponents never decrease.
         """
         other = UmbralPolynomial.coerce(other)
         if not self._terms or not other._terms:
             return UmbralPolynomial.zero()
-        layout = _Layout(_top_exponents(self._terms), _top_exponents(other._terms), prune)
+        layout = _Layout(_top_exponents(self._terms), _top_exponents(other._terms))
         left = layout.pack(self._terms, layout.bias)
         out = _product(left, layout.pack(other._terms), layout.guard)
         return UmbralPolynomial({layout.unpack(key): c for key, c in out.items()})
@@ -423,21 +415,21 @@ class UmbralPolynomial:
 
     __rmul__ = __mul__
 
-    def pow(self, k: int, prune: bool = True) -> "UmbralPolynomial":
+    def pow(self, k: int) -> "UmbralPolynomial":
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         if k == 0:
             return UmbralPolynomial.one()
         if k == 1 or not self._terms:
             return self
-        # One layout for the whole chain.  Under pruning an intermediate
-        # power keeps no umbra past its max_power, though the base may.
+        # One layout for the whole chain.  An intermediate power keeps no
+        # umbra past its max_power, though the base may.
         top = _top_exponents(self._terms)
         top_left = {}
         for v, e in top.items():
-            cap = v.max_power if prune and isinstance(v, Umbra) else None
+            cap = v.max_power if isinstance(v, Umbra) else None
             top_left[v] = (k - 1) * e if cap is None else min((k - 1) * e, max(e, cap))
-        layout = _Layout(top_left, top, prune)
+        layout = _Layout(top_left, top)
         right = layout.pack(self._terms)
         left = layout.pack(self._terms, layout.bias)
         for _ in range(k - 1):
@@ -446,30 +438,6 @@ class UmbralPolynomial:
 
     def __pow__(self, k: int):
         return self.pow(k)
-
-    # -- substitution and evaluation ----------------------------------------
-
-    def substitute(self, indet: Indeterminate, replacement) -> "UmbralPolynomial":
-        """Ring-homomorphic substitution of ``replacement`` for ``indet``.
-
-        The replacement may be a scalar, another indeterminate, an umbra, or
-        a polynomial; umbra powers introduced this way accumulate under later
-        multiplication like any other.  Internal products are unpruned so the
-        operation is an exact homomorphism on formal polynomials.
-        """
-        repl = UmbralPolynomial.coerce(replacement)
-        out = UmbralPolynomial.zero()
-        for (ub, ind), c in self._terms.items():
-            exp = 0
-            rest = []
-            for v, ve in ind:
-                if v is indet:
-                    exp = ve
-                else:
-                    rest.append((v, ve))
-            base = UmbralPolynomial({(ub, tuple(rest)): c})
-            out = out + (base.mul(repl.pow(exp, prune=False), prune=False) if exp else base)
-        return out
 
     # -- equality and display ------------------------------------------------
 
@@ -533,29 +501,6 @@ def evaluate(x) -> UmbralPolynomial:
             else:
                 out[key] = s
     return UmbralPolynomial(out)
-
-
-def gf_coefficients(source, order: int) -> list:
-    """Truncated exponential generating sequence ``[m_0/0!, ..., m_K/K!]`` of
-    an umbra or polynomial, where ``m_k`` is the evaluation of the k-th power.
-
-    Purely formal: no convergence is implied.  Entries are scalars when the
-    source has no indeterminates, otherwise umbra-free polynomials.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    p = UmbralPolynomial.coerce(source)
-    out: list = []
-    power = UmbralPolynomial.one()
-    for k in range(order + 1):
-        if k:
-            power = power.mul(p)
-        val = evaluate(power)
-        try:
-            out.append(divide_by_factorial(val.as_scalar(), k))
-        except ValueError:
-            out.append(val.scale(Fraction(1, math.factorial(k))))
-    return out
 
 
 def similar(a, b, order: int) -> bool:

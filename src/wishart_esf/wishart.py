@@ -148,24 +148,16 @@ def _lift_all(values: Sequence) -> list[UmbralPolynomial]:
     return [UmbralPolynomial.coerce(v) for v in values]
 
 
-def _power(value, k: int, prune: bool):
-    if isinstance(value, UmbralPolynomial):
-        return value.pow(k, prune=prune)
-    return value**k
-
-
-def _central_terms(
-    k: int, yv: Sequence, xv: Sequence, theta: Sequence, prune: bool = True
-) -> UmbralPolynomial:
+def _central_terms(k: int, yv: Sequence, xv: Sequence, theta: Sequence) -> UmbralPolynomial:
     # (k-1)! 2^(k-1) * (sum_j x_j^(2k)) * (sum_l y_l^(2k) theta_l^k)
     xs = UmbralPolynomial.zero()
     for x in xv:
-        xs = xs + _power(x, 2 * k, prune)
+        xs = xs + x ** (2 * k)
     ys = UmbralPolynomial.zero()
     for y, th in zip(yv, theta):
-        ys = ys + _power(y, 2 * k, prune) * _power(th, k, prune)
+        ys = ys + y ** (2 * k) * th**k
     factor = math.factorial(k - 1) * 2 ** (k - 1)
-    return xs.mul(ys, prune=prune).scale(factor)
+    return xs.mul(ys).scale(factor)
 
 
 def _mean_terms(
@@ -174,7 +166,6 @@ def _mean_terms(
     xv: Sequence,
     m: Sequence[Sequence] | None,
     sigma: Sequence[Sequence],
-    prune: bool = True,
 ) -> UmbralPolynomial:
     if m is None or all(
         not isinstance(x, UmbralPolynomial) and x == 0 for row in m for x in row
@@ -184,13 +175,13 @@ def _mean_terms(
     # D = diag(y_a^2): the block-diagonal Kronecker factor reduces the
     # quadratic form in D_y m_j x_j to one p x p polynomial matrix power,
     # shared by every column; at k = 1 the power is the identity and H = D.
-    d = UmbralMatrix.diag([_power(y, 2, prune) for y in yv])
-    h = d.matmul(UmbralMatrix.from_rows(sigma), prune).matpow(k - 1, prune).matmul(d, prune)
+    d = UmbralMatrix.diag([y**2 for y in yv])
+    h = d.matmul(UmbralMatrix.from_rows(sigma)).matpow(k - 1).matmul(d)
     total = UmbralPolynomial.zero()
     for j in range(len(m[0])):
         col = UmbralMatrix.from_rows([[row[j]] for row in m])
-        quad = col.transpose().matmul(h.matmul(col, prune), prune).get(0, 0)
-        total = total + _power(xv[j], 2 * k, prune).mul(quad, prune=prune)
+        quad = col.transpose().matmul(h.matmul(col)).get(0, 0)
+        total = total + (xv[j] ** (2 * k)).mul(quad)
     factor = math.factorial(k) * 2 ** (k - 1)
     return total.scale(factor)
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+
+from wishart_esf import linalg, oracles
+from wishart_esf.cli import format_scalar
+from wishart_esf.umbra import UmbralPolynomial
 
 
 def rational(rng: Random, span: int = 3, max_den: int = 4) -> Fraction:
@@ -94,6 +100,137 @@ def k_statistics(values, order: int) -> float:
         )
         return num / (n * (n - 1) * (n - 2) * (n - 3))
     raise ValueError("k-statistics implemented for orders 1..4")
+
+
+# -- reference kernel operations ------------------------------------------------
+
+
+def merged_powers(a: tuple, b: tuple) -> tuple:
+    """Reference monomial product: exponents of shared variables add, and
+    the factors stay sorted by ident."""
+    powers = dict(a)
+    for v, e in b:
+        powers[v] = powers.get(v, 0) + e
+    return tuple(sorted(powers.items(), key=lambda item: item[0].ident))
+
+
+def reference_mul(a: UmbralPolynomial, b: UmbralPolynomial, prune: bool = True) -> UmbralPolynomial:
+    """``a * b`` by merging the ``(variable, exponent)`` tuples of every term
+    pair, dropping over-range umbra powers under ``prune``; without it, the
+    exact product over the formal polynomials."""
+    out: dict = {}
+    for (ua, ia), ca in a.terms():
+        for (ub, ib), cb in b.terms():
+            u = merged_powers(ua, ub)
+            if prune and any(v.max_power is not None and e > v.max_power for v, e in u):
+                continue
+            key = (u, merged_powers(ia, ib))
+            s = out.get(key, 0) + ca * cb
+            if s == 0:
+                del out[key]
+            else:
+                out[key] = s
+    return UmbralPolynomial(out)
+
+
+def unpruned_pow(base: UmbralPolynomial, k: int) -> UmbralPolynomial:
+    result = UmbralPolynomial.one()
+    for _ in range(k):
+        result = reference_mul(result, base, prune=False)
+    return result
+
+
+def substitute(poly: UmbralPolynomial, indet, replacement) -> UmbralPolynomial:
+    """Ring-homomorphic substitution of ``replacement`` (a scalar, variable or
+    polynomial) for the indeterminate ``indet``, with unpruned products, so
+    umbra powers it introduces are kept whole."""
+    power = UmbralPolynomial.coerce(replacement)
+    out = UmbralPolynomial.zero()
+    for (ub, ind), c in poly.terms():
+        rest = UmbralPolynomial({(ub, tuple((v, e) for v, e in ind if v is not indet)): c})
+        out = out + reference_mul(rest, unpruned_pow(power, dict(ind).get(indet, 0)), prune=False)
+    return out
+
+
+def substitute_all(poly: UmbralPolynomial, variables, values) -> UmbralPolynomial:
+    for v, value in zip(variables, values):
+        poly = substitute(poly, v, value)
+    return poly
+
+
+# -- oracles and I/O used as tools ------------------------------------------------
+
+
+def perfect_matchings(m: int) -> list[tuple[tuple[int, int], ...]]:
+    """All perfect matchings of ``{0, ..., m-1}``, deterministic order.
+
+    There are (m-1)!! of them; ``m`` odd raises ``ValueError``.
+    """
+    if m < 0 or m % 2:
+        raise ValueError("no pair partition of an odd set")
+    if m == 0:
+        return [()]
+    out: list[tuple[tuple[int, int], ...]] = []
+
+    def pair_up(free: list[int], acc: list[tuple[int, int]]) -> None:
+        if not free:
+            out.append(tuple(acc))
+            return
+        first = free[0]
+        for idx in range(1, len(free)):
+            acc.append((first, free[idx]))
+            pair_up(free[1:idx] + free[idx + 1 :], acc)
+            acc.pop()
+
+    pair_up(list(range(m)), [])
+    return out
+
+
+def mc_trace_moment(params, i: int, y, x, samples: int, seed: int) -> oracles.Estimate:
+    """Seeded Monte Carlo estimate of the i-th moment of the weighted squared
+    trace at numeric weights, on the sample stream of the package's
+    estimator."""
+    import numpy as np
+
+    weights = np.outer(np.array([float(v) for v in y]) ** 2, np.array([float(v) for v in x]) ** 2)
+    chunks = []
+    for xs in oracles._sample_batches(params, samples, seed):
+        q = np.einsum("aj,baj->b", weights, xs**2)
+        with np.errstate(over="ignore"):
+            chunks.append(q**i)
+    return oracles._summarize(np.concatenate(chunks), samples, seed)
+
+
+def esf_by_column_subsets(n: int, sigma, m, i: int) -> Fraction:
+    """Exact ``E[e_i(W)]`` without the reduction both routes share:
+
+        sum over column sets T, |T| <= i, of
+        (-1)^(i-|T|) C(n-|T|, i-|T|) e_i(|T| Sigma + M_T M_T^T).
+
+    By Cauchy-Binet ``e_i(X X^T)`` is a sum of squared i x i minors; the
+    expected square of a minor with independent columns ``N(m_c, Sigma)`` is
+    a mixed discriminant of the ``Sigma + m_c m_c^T`` (Bapat, LAA 126, 1989),
+    which polarization over T turns into the sum above.  No t-pencil, no
+    a_k, no kernel, no charpoly: principal minors of rational matrices only.
+    Entries are read exactly, floats included; ``m`` may be ``None``."""
+    sigma = [[Fraction(x) for x in row] for row in sigma]
+    m = [[Fraction(x) for x in row] for row in m] if m is not None else [[0] * n for _ in sigma]
+    total = Fraction(0)
+    for size in range(i + 1):
+        weight = (-1) ** (i - size) * math.comb(n - size, i - size)
+        for cols in itertools.combinations(range(n), size):
+            a = [
+                [size * s + sum(r1[j] * r2[j] for j in cols) for s, r2 in zip(row, m)]
+                for row, r1 in zip(sigma, m)
+            ]
+            total += weight * linalg.principal_minor_sum(a, i)
+    return total
+
+
+def write_matrix_csv(path: str, matrix) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in matrix:
+            fh.write(",".join(format_scalar(v) for v in row) + "\n")
 
 
 @pytest.fixture

@@ -49,6 +49,7 @@ from conftest import (
     rational_matrix,
     rational_vector,
     rect_diag_matrix,
+    substitute_all,
 )
 
 RTOL = 1e-8
@@ -214,11 +215,7 @@ def test_c08_trace_moment_vs_pairings():
         yw = rational_vector(rng, 2, span=2, max_den=2)
         xw = rational_vector(rng, 2, span=2, max_den=2)
         for i in (1, 2):
-            poly = trace_moment(params, i)
-            for v, num in zip(params.y_vars, yw):
-                poly = poly.substitute(v, num)
-            for v, num in zip(params.x_vars, xw):
-                poly = poly.substitute(v, num)
+            poly = substitute_all(trace_moment(params, i), params.y_vars + params.x_vars, yw + xw)
             assert poly.as_scalar() == wick_trace_moment(params, yw, xw, i), (i, yw, xw)
             checked += 1
     _report("c08", f"squared-trace moments equal the pairing expansion on {checked} cases")

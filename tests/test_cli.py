@@ -19,8 +19,9 @@ from wishart_esf.cli import (
     EXIT_USAGE,
     main,
     parse_matrix_csv,
-    write_matrix_csv,
 )
+
+from conftest import write_matrix_csv
 
 
 def run_cli(args: list[str]) -> subprocess.CompletedProcess:

@@ -16,13 +16,13 @@ from wishart_esf.combinatorics import (
     elementary_symmetric_from_power_sums,
     elementary_symmetric_via_bell,
     elementary_symmetric_via_cycle_classes,
-    elementary_symmetric_via_permutations,
     enumerate_partitions,
     falling_factorial,
-    perfect_matchings,
     power_sum,
 )
 from wishart_esf.umbra import UmbralPolynomial, indeterminates
+
+from conftest import perfect_matchings, substitute_all
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -105,10 +105,7 @@ class TestCompleteBell:
         poly = complete_bell([UmbralPolynomial.coerce(s) for s in syms])
         for _ in range(10):
             vals = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
-            substituted = poly
-            for s, v in zip(syms, vals):
-                substituted = substituted.substitute(s, v)
-            assert substituted.as_scalar() == complete_bell(vals)
+            assert substitute_all(poly, syms, vals).as_scalar() == complete_bell(vals)
 
     @given(st.lists(st.just(Fraction(0)) | small_fractions, max_size=7))
     @settings(max_examples=150, deadline=None)
@@ -151,9 +148,9 @@ class TestCompleteBell:
         products = []
         original = UmbralPolynomial.mul
 
-        def counting(self, other, prune=True):
+        def counting(self, other):
             products.append(other)
-            return original(self, other, prune)
+            return original(self, other)
 
         monkeypatch.setattr(UmbralPolynomial, "mul", counting)
         c = [UmbralPolynomial.coerce(s) for s in indeterminates("c", 4)]
@@ -218,18 +215,6 @@ class TestPowerSumsAndEsf:
                 direct = elementary_symmetric(y, i)
                 assert elementary_symmetric_via_bell(y, i) == direct
                 assert elementary_symmetric_via_cycle_classes(y, i) == direct
-
-    def test_permutation_oracle_agrees(self):
-        rng = Random(5150)
-        for _ in range(20):
-            p = rng.randint(1, 5)
-            y = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(p)]
-            for i in range(0, min(p, 5) + 1):
-                assert elementary_symmetric_via_permutations(y, i) == elementary_symmetric(y, i)
-
-    def test_permutation_oracle_size_guard(self):
-        with pytest.raises(ValueError):
-            elementary_symmetric_via_permutations([1] * 6, 6)
 
     @given(st.lists(small_fractions, min_size=1, max_size=5))
     @settings(max_examples=60, deadline=None)

@@ -37,14 +37,7 @@ class TestBasicAlgebra:
         with pytest.raises(ValueError):
             a.matmul(b)
         with pytest.raises(ValueError):
-            a + b
-        with pytest.raises(ValueError):
             UmbralMatrix.from_rows([[0, 0, 0]] * 2).trace()
-
-    def test_add_and_scale(self, rng):
-        a = UmbralMatrix.from_rows(rational_matrix(rng, 2, 2))
-        twice = a + a
-        assert twice == a.scale(2)
 
 
 class TestDiagonalBuilders:
@@ -66,7 +59,7 @@ class TestDiagonalBuilders:
         for r in range(2):
             for c in range(2):
                 left, right = square.get(r, c), cmat.get(r, c)
-                if left.is_zero and right.is_zero:
+                if left == 0 and right == 0:
                     continue
                 assert similar(left, right, 6)
 
@@ -89,7 +82,7 @@ class TestDeterminant:
 
     def test_rank_deficient(self):
         m = UmbralMatrix.from_rows([[1, 2], [2, 4]])
-        assert m.det().is_zero
+        assert m.det() == 0
 
     def test_size_limit(self):
         with pytest.raises(ValueError, match="determinant size limit"):
@@ -129,6 +122,6 @@ class TestEigenbasisConjugation:
         for r in range(2):
             for c in range(2):
                 left, right = gram.get(r, c), cmat.get(r, c)
-                if left.is_zero and right.is_zero:
+                if left == 0 and right == 0:
                     continue
                 assert similar(left, right, 6)

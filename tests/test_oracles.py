@@ -1,25 +1,24 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wishart_esf import linalg, oracles
-from wishart_esf.combinatorics import perfect_matchings
 from wishart_esf.oracles import (
     Estimate,
     _batched_esf,
     _partial_pairing_expectation,
     _summarize,
     mc_expected_esf,
-    mc_trace_moment,
     wick_expected_esf,
     wick_trace_moment,
 )
 from wishart_esf.wishart import WishartParams, expected_esf_closed_form
 
-from conftest import rational_diag_spd, rational_matrix
+from conftest import mc_trace_moment, perfect_matchings, rational_diag_spd, rational_matrix
 
 
 def _pairing_mean_cov(cov_matrix, means=None):
@@ -168,6 +167,19 @@ class TestMonteCarlo:
         params = WishartParams(3, 2, linalg.identity(2))
         est = mc_expected_esf(params, 0, samples=10, seed=1)
         assert est == Estimate(value=1.0, stderr=0.0, samples=10, seed=1)
+
+    def test_order_above_p_holds_no_per_sample_values(self):
+        # e_3 of a 2 x 2 matrix is 0 for every sample: a zero per sample
+        # would hold 8 MB here
+        params = WishartParams(3, 2, linalg.identity(2))
+        tracemalloc.start()
+        try:
+            est = mc_expected_esf(params, 3, samples=10**6, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est == Estimate(value=0.0, stderr=0.0, samples=10**6, seed=5)
+        assert peak < 1_000_000
 
     def test_tiny_sample_reports_positive_stderr(self):
         params = WishartParams(3, 2, linalg.identity(2))

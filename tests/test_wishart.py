@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 import pytest
@@ -17,7 +18,7 @@ from wishart_esf.combinatorics import (
     falling_factorial,
 )
 from wishart_esf.oracles import wick_expected_esf, wick_trace_moment
-from wishart_esf.umbra import UmbralPolynomial, deltas, evaluate, falling, gaussian, gf_coefficients
+from wishart_esf.umbra import UmbralPolynomial, deltas, evaluate, falling, gaussian
 from wishart_esf.wishart import (
     WishartParams,
     central_cumulant,
@@ -32,6 +33,7 @@ from wishart_esf.wishart import (
 from wishart_esf.wishart import _central_terms, _mean_terms
 
 from conftest import (
+    esf_by_column_subsets,
     float_matrix,
     float_spd,
     rational_diag_spd,
@@ -39,6 +41,9 @@ from conftest import (
     rational_matrix,
     rational_vector,
     rect_diag_matrix,
+    reference_mul,
+    substitute_all,
+    unpruned_pow,
 )
 
 
@@ -154,18 +159,15 @@ class TestCumulants:
     def test_central_cumulant_at_unit_weights(self):
         n, p = 3, 2
         params = WishartParams(n, p, linalg.identity(p))
-        q1 = central_cumulant(params, 1)
-        for v in params.y_vars + params.x_vars:
-            q1 = q1.substitute(v, 1)
+        weights = params.y_vars + params.x_vars
+        q1 = substitute_all(central_cumulant(params, 1), weights, [1] * len(weights))
         assert q1.as_scalar() == n * p
 
     def test_central_cumulant_zero_covariance_scale(self):
         params = WishartParams.symbolic(2, 2)
         # replacing every latent weight by zero kills the central part
-        q2 = central_cumulant(params, 2)
-        for th in params.theta_syms:
-            q2 = q2.substitute(th, 0)
-        assert q2.is_zero
+        q2 = substitute_all(central_cumulant(params, 2), params.theta_syms, [0] * 2)
+        assert q2 == 0
 
     def test_mean_cumulant_printed_form(self):
         params = WishartParams.symbolic(3, 2)
@@ -181,7 +183,7 @@ class TestCumulants:
     def test_mean_cumulant_zero_mean(self):
         params = WishartParams(3, 2, linalg.identity(2))
         for k in (1, 2, 3):
-            assert mean_cumulant(params, k).is_zero
+            assert mean_cumulant(params, k) == 0
 
     def test_mean_cumulant_scalar_case(self):
         # p = n = 1, covariance (s2), mean (mval): order-2 value 4 y^4 x^4 s2 mval^2
@@ -206,9 +208,7 @@ class TestCumulants:
             xw = rational_vector(rng, n, span=2, max_den=2)
             s = [[yw[a] * sigma[a][b] * yw[b] for b in range(p)] for a in range(p)]
             for k in range(1, 5):
-                poly = mean_cumulant(params, k)
-                for v, num in zip(params.y_vars + params.x_vars, yw + xw):
-                    poly = poly.substitute(v, num)
+                poly = substitute_all(mean_cumulant(params, k), params.y_vars + params.x_vars, yw + xw)
                 want = sum(
                     xw[j] ** (2 * k)
                     * (
@@ -280,11 +280,7 @@ class TestTraceMoment:
             yw = rational_vector(rng, 2, span=2, max_den=2)
             xw = rational_vector(rng, 2, span=2, max_den=2)
             for i in (1, 2):
-                poly = trace_moment(params, i)
-                for v, num in zip(params.y_vars, yw):
-                    poly = poly.substitute(v, num)
-                for v, num in zip(params.x_vars, xw):
-                    poly = poly.substitute(v, num)
+                poly = substitute_all(trace_moment(params, i), params.y_vars + params.x_vars, yw + xw)
                 assert poly.as_scalar() == wick_trace_moment(params, yw, xw, i)
 
 
@@ -295,17 +291,13 @@ class TestDeltaPruning:
         rng = Random(11)
         for p, n in ((2, 2), (2, 3), (3, 4), (4, 4)):
             sigma_diag = rational_diag_spd(rng, p)
-            theta = [sigma_diag[l][l] for l in range(p)]
             mvals = rational_vector(rng, p, span=2, max_den=2)
-            m = rect_diag_matrix(mvals, p, n)
-            dp = deltas(p)
-            dn = deltas(n)
-            yv = [d._lift() for d in dp]
-            xv = [d._lift() for d in dn]
+            params = WishartParams(n, p, sigma_diag, rect_diag_matrix(mvals, p, n))
+            weights = params.y_vars + params.x_vars
+            delta_weights = deltas(p) + deltas(n)
             for i in range(1, min(p, 3) + 1):
                 cumulants = [
-                    _central_terms(k, yv, xv, theta, prune=False)
-                    + _mean_terms(k, yv, xv, m, sigma_diag, prune=False)
+                    substitute_all(trace_cumulant(params, k), weights, delta_weights)
                     for k in range(1, i + 1)
                 ]
                 bell = UmbralPolynomial.zero()
@@ -313,10 +305,9 @@ class TestDeltaPruning:
                     term = UmbralPolynomial.constant(bell_coefficient(q))
                     for part, mult in q.parts:
                         for _ in range(mult):
-                            term = term.mul(cumulants[part - 1], prune=False)
+                            term = reference_mul(term, cumulants[part - 1], prune=False)
                     bell = bell + term
-                first_power = cumulants[0].pow(i, prune=False)
-                assert evaluate(bell) == evaluate(first_power)
+                assert evaluate(bell) == evaluate(unpruned_pow(cumulants[0], i))
 
     def test_delta_weights_give_the_model_expectation(self):
         # the paper's mechanism on the model itself, not on a canonical
@@ -396,11 +387,11 @@ class TestUmbralRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("pow called mul")
 
-        def guarded_pow(poly, k, prune=True):
+        def guarded_pow(poly, k):
             orders.append(k)
             with monkeypatch.context() as patch:
                 patch.setattr(UmbralPolynomial, "mul", refuse)
-                return packed_pow(poly, k, prune)
+                return packed_pow(poly, k)
 
         monkeypatch.setattr(UmbralPolynomial, "pow", guarded_pow)
         assert wishart._canonical_kernel(6, 5, 5) == 120
@@ -618,9 +609,9 @@ class TestUmbralWork:
         packed_mul = UmbralPolynomial.mul
         calls = []
 
-        def counting(poly, other, prune=True):
+        def counting(poly, other):
             calls.append(1)
-            return packed_mul(poly, other, prune)
+            return packed_mul(poly, other)
 
         monkeypatch.setattr(UmbralPolynomial, "mul", counting)
         for i in range(1, 7):
@@ -681,9 +672,9 @@ class TestColumnCollapse:
         pairs = []
         original = UmbralPolynomial.mul
 
-        def counting(self, other, prune=True):
+        def counting(self, other):
             pairs.append(len(self.terms()) * len(UmbralPolynomial.coerce(other).terms()))
-            return original(self, other, prune)
+            return original(self, other)
 
         monkeypatch.setattr(UmbralPolynomial, "mul", counting)
         params = WishartParams(10, 8, rational_diag_spd(Random(8), 8))
@@ -834,6 +825,57 @@ class TestRouteAgreement:
                         assert expected_esf_umbral(params, i) == expected_esf_closed_form(params, i)
 
 
+def mean_of_rank(rng: Random, p: int, n: int, rank: int, scale):
+    """``A B`` with ``A`` p x rank and ``B`` rank x n, both with an identity
+    block on top, so the product has rank exactly ``rank``; ``scale`` maps a
+    small integer to an entry."""
+
+    a = [[scale(int(r == c) if r < rank else rng.randint(-3, 3)) for c in range(rank)] for r in range(p)]
+    b = [[scale(int(r == c) if c < rank else rng.randint(-3, 3)) for c in range(n)] for r in range(rank)]
+    return tuple(tuple(sum(a[r][t] * b[t][c] for t in range(rank)) for c in range(n)) for r in range(p))
+
+
+class TestColumnSubsetOracle:
+    """Both routes against an exact oracle that shares neither their
+    ``t``-pencil reduction nor their coefficients ``a_k``."""
+
+    def test_oracle_matches_pairings(self):
+        rng = Random(70)
+        for p, n in ((1, 3), (2, 2), (2, 3)):
+            for _ in range(3):
+                sigma, m = rational_full_spd(rng, p), rational_matrix(rng, p, n)
+                params = WishartParams(n, p, sigma, m)
+                for i in range(p + 1):
+                    if p * n * i <= 12:
+                        assert esf_by_column_subsets(n, sigma, m, i) == wick_expected_esf(params, i)
+
+    def test_routes_match_on_whole_profiles_by_mean_rank(self):
+        # dense covariance; means of every rank 0..p; exact and float entries,
+        # the float ones small dyadic multiples so that A B has rank exactly r
+        rng = Random(7)
+        for p in range(1, 6):
+            n = p + 1
+            for rank in range(p + 1):
+                for floats in (False, True):
+                    if floats:
+                        sigma = float_spd(rng, p)
+                        m = mean_of_rank(rng, p, n, rank, lambda k: k / 8)
+                    else:
+                        sigma = rational_full_spd(rng, p)
+                        m = mean_of_rank(rng, p, n, rank, lambda k: Fraction(k, rng.randint(1, 3)))
+                    exact = [[Fraction(x) for x in row] for row in m]
+                    gram = [[sum(map(mul, r1, r2)) for r2 in exact] for r1 in exact]
+                    assert linalg.principal_minor_sum(gram, rank) != 0
+                    assert linalg.principal_minor_sum(gram, rank + 1) == 0
+                    params = WishartParams(n, p, sigma, m)
+                    for i in range(p + 1):
+                        want = esf_by_column_subsets(n, sigma, m, i)
+                        if floats:
+                            want = float(want)
+                        assert expected_esf_umbral(params, i) == want, (p, rank, floats, i)
+                        assert expected_esf_closed_form(params, i) == want, (p, rank, floats, i)
+
+
 class TestQuadraticFormCumulants:
     def test_first_cumulant_is_trace_plus_norm(self, rng):
         for _ in range(5):
@@ -876,11 +918,9 @@ class TestQuadraticFormCumulants:
         total = UmbralPolynomial.zero()
         for g in parts:
             total = total + g * g
-        coeffs = gf_coefficients(total, 4)
         kappas = [noncentral_chisq_cumulant(sigma, m, k) for k in range(1, 5)]
         for k in range(0, 5):
-            want = Fraction(complete_bell(kappas[:k]), math.factorial(k))
-            assert coeffs[k] == want
+            assert evaluate(total.pow(k)) == complete_bell(kappas[:k])
 
 
 class TestCrossTermIdentity:
