@@ -12,8 +12,9 @@ contribute to an elementary symmetric function.
 Both routes clear denominators once, in one integer pencil
 ``A + t B = s (Sigma + t M M^T)``.  The umbral route takes ``[t^k] e_i``
 from the traces of its powers and Newton's identities; the closed-form route
-uses ``a_k = (n-k)_(i-k)``, the division-free characteristic polynomial and
-interpolation.  Both are exact, and correctly rounded in float mode.
+uses ``a_k = (n-k)_(i-k)`` and one division-free characteristic polynomial
+of the Kronecker-packed matrix ``A + 2^K B``.  Both are exact, and correctly
+rounded in float mode.
 """
 
 from __future__ import annotations
@@ -313,18 +314,20 @@ def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[l
     """``(s, A, B)``: the integer matrices ``A = s Sigma`` and ``B = s M M^T``,
     read from each entry's integer ratio, so exact for float entries too.
 
-    With ``d`` the common denominator of the mean and ``M_i = d M``,
-    ``B = (s / d^2) M_i M_i^T`` comes from the dot products of the rows of
+    With ``d`` the common denominator of the mean and ``M_i = d M``, the upper
+    triangle of ``B = (s / d^2) M_i M_i^T`` comes from row dot products of
     ``M_i``.  A central model reads only ``Sigma``; its ``B`` is zero."""
-    m = [[_integer_ratio(x) for x in row] for row in params.m or ()]
-    sigma = [[_integer_ratio(x) for x in row] for row in params.sigma]
+    m = [list(map(_integer_ratio, row)) for row in params.m or ()]
+    sigma = [list(map(_integer_ratio, row)) for row in params.sigma]
     # clear the mean's denominators first, so that M M^T is an integer product
     d = math.lcm(*(q for row in m for _, q in row))
     mi = [[u * (d // q) for u, q in row] for row in m]
     s = math.lcm(d * d, *(q for row in sigma for _, q in row))
     a = [[u * (s // q) for u, q in row] for row in sigma]
-    b = [[s // (d * d) * sum(map(mul, r1, r2)) for r2 in mi] for r1 in mi]
-    return s, a, b or [[0] * params.p for _ in a]
+    b = [[0] * params.p for _ in a]
+    for r, c in itertools.combinations_with_replacement(range(len(mi)), 2):
+        b[r][c] = b[c][r] = s // (d * d) * sum(map(mul, mi[r], mi[c]))
+    return s, a, b
 
 
 @guard_order
@@ -351,22 +354,23 @@ def expected_esf_umbral(params: WishartParams, i: int):
 # -- closed forms -------------------------------------------------------------
 
 
-def _integer_polynomial(values: list[int]) -> list[int]:
-    """Coefficients, lowest degree first, of the integer polynomial of degree
-    below ``len(values)`` that takes ``values[t]`` at ``t = 0, 1, ...``.
+def _pencil_esf(a: list[list[int]], b: list[list[int]], i: int) -> list[int]:
+    """Coefficients, lowest degree first, of ``e_i(A + t B)``, ``i >= 1``, for
+    symmetric integer matrices, from one :func:`linalg.charpoly` run.
 
-    Newton's forward differences: ``f(t) = sum_j D^j f(0) (t)_j / j!``, and
-    ``j!`` divides ``D^j f(0)`` when ``f`` has integer coefficients.
+    Kronecker substitution (Kronecker 1882): ``e_i(A + 2^K B)`` is read as
+    ``i + 1`` balanced base-``2^K`` digits.  Each ``|[t^k] e_i|`` is at most
+    ``e_i`` of the row sums of ``|A| + |B|``, so below ``T^i``, ``T`` the sum
+    of the entries' absolute values; ``K = i bit_length(T) + 1`` fits a sign.
     """
-    coeffs = [0] * len(values)
-    basis = [1]  # the falling factorial (t)_j, lowest degree first
-    for j in range(len(values)):
-        step = values[0] // math.factorial(j)
-        for k, b in enumerate(basis):
-            coeffs[k] += step * b
-        values = [b - a for a, b in zip(values, values[1:])]
-        basis = [x - j * y for x, y in zip([0] + basis, basis + [0])]
-    return coeffs
+    width = i * sum(abs(x) + abs(y) for r in zip(a, b) for x, y in zip(*r)).bit_length() + 1
+    packed = [[x + (y << width) for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
+    # offset every digit by half its range, so the balanced digits read as plain ones
+    half = 1 << (width - 1)
+    value = linalg.charpoly(packed, i)[i] + sum(half << width * k for k in range(i + 1))
+    if value >> width * (i + 1):
+        raise ArithmeticError("e_i of the packed pencil exceeds its digit bound")
+    return [(value >> width * k) % (1 << width) - half for k in range(i + 1)]
 
 
 @guard_order
@@ -375,20 +379,15 @@ def expected_esf_closed_form(params: WishartParams, i: int):
     ``E[e_i(W)] = sum_k (n-k)_(i-k) [t^k] e_i(Sigma + t M M^T)``, one path
     for every regime.
 
-    ``e_i(A + t B)`` of the integer pencil (:func:`_integer_pencil`) is an
-    integer polynomial of degree at most ``i`` in ``t``, recovered exactly
-    from :func:`linalg.charpoly`, stopped at ``e_i``, at ``t = 0..i``; when
-    ``B = 0`` it is the constant ``e_i(A)``, read at ``t = 0`` alone.  The
-    one division, by ``s^i``, comes last.  The value is exact, and correctly
-    rounded in float mode.
+    The coefficients of ``e_i(A + t B)``, for the integer pencil of
+    :func:`_integer_pencil`, come from one characteristic polynomial, stopped
+    at ``e_i``, of the Kronecker-packed ``A + 2^K B`` (:func:`_pencil_esf`); a
+    central model's ``B`` is zero, so it packs to ``A``.  The one division,
+    by ``s^i``, comes last.  Exact, and correctly rounded in float mode.
     """
     s, a, b = _integer_pencil(params)
-    values = [
-        linalg.charpoly([[x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)], i)[i]
-        for t in range(i + 1 if any(map(any, b)) else 1)
-    ]
-    coeffs = _integer_polynomial(values)
-    total = sum(falling_factorial(params.n - k, i - k) * c for k, c in enumerate(coeffs))
+    esf = _pencil_esf(a, b, i)
+    total = sum(falling_factorial(params.n - k, i - k) * c for k, c in enumerate(esf))
     return Fraction(total, s**i)
 
 

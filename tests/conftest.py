@@ -227,6 +227,24 @@ def esf_by_column_subsets(n: int, sigma, m, i: int) -> Fraction:
     return total
 
 
+def integer_polynomial(values: list[int]) -> list[int]:
+    """Coefficients, lowest degree first, of the integer polynomial of degree
+    below ``len(values)`` that takes ``values[t]`` at ``t = 0, 1, ...``.
+
+    Newton's forward differences: ``f(t) = sum_j D^j f(0) (t)_j / j!``, and
+    ``j!`` divides ``D^j f(0)`` when ``f`` has integer coefficients.
+    """
+    coeffs = [0] * len(values)
+    basis = [1]  # the falling factorial (t)_j, lowest degree first
+    for j in range(len(values)):
+        step = values[0] // math.factorial(j)
+        for k, b in enumerate(basis):
+            coeffs[k] += step * b
+        values = [b - a for a, b in zip(values, values[1:])]
+        basis = [x - j * y for x, y in zip([0] + basis, basis + [0])]
+    return coeffs
+
+
 def write_matrix_csv(path: str, matrix) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for row in matrix:

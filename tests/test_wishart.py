@@ -36,6 +36,7 @@ from conftest import (
     esf_by_column_subsets,
     float_matrix,
     float_spd,
+    integer_polynomial,
     rational_diag_spd,
     rational_full_spd,
     rational_matrix,
@@ -593,12 +594,65 @@ class TestClosedFormWork:
         assert calls == list(range(1, 8))
 
     def test_noncentral_profile_stops_at_the_order(self, rng, monkeypatch):
-        # i + 1 interpolation points per order, each stopped at e_i
+        # one run per order on the packed pencil A + 2^K B, stopped at e_i
         params = WishartParams(9, 7, rational_full_spd(rng, 7), rational_matrix(rng, 7, 9))
         want = [expected_esf_closed_form(params, i) for i in range(9)]
         calls = self._count_charpoly(monkeypatch)
         assert [expected_esf_closed_form(params, i) for i in range(9)] == want
-        assert calls == [i for i in range(1, 8) for _ in range(i + 1)]
+        assert calls == list(range(1, 8))
+
+
+def symmetric_integers(rng, p: int, bound: int):
+    low = [[rng.randint(-bound, bound) for _ in range(p)] for _ in range(p)]
+    return [[low[min(r, c)][max(r, c)] for c in range(p)] for r in range(p)]
+
+
+def interpolated_esf(a, b, i: int) -> list[int]:
+    """Coefficients of ``e_i(A + t B)`` from ``charpoly`` at ``t = 0..i``."""
+    values = [
+        linalg.charpoly([[x + t * y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)], i)[i]
+        for t in range(i + 1)
+    ]
+    return integer_polynomial(values)
+
+
+class TestPencilDecode:
+    """The coefficients of ``e_i(A + t B)`` read off one run on the packed
+    pencil ``A + 2^K B`` against interpolation of ``charpoly`` at ``t = 0..i``."""
+
+    def test_packed_digits_match_interpolation(self, rng):
+        signs = set()
+        for _ in range(60):
+            p = rng.randint(1, 6)
+            # symmetric and indefinite; a zero B is the central pencil
+            a = symmetric_integers(rng, p, rng.choice((3, 2**20, 2**64)))
+            b = symmetric_integers(rng, p, rng.choice((0, 3, 2**20, 2**64)))
+            for i in range(1, p + 1):
+                coeffs = wishart._pencil_esf(a, b, i)
+                assert coeffs == interpolated_esf(a, b, i), (a, b, i)
+                signs.update((c > 0) - (c < 0) for c in coeffs)
+        assert signs == {-1, 0, 1}
+
+    def test_entries_at_two_to_the_64(self):
+        # every entry at +-2^64, the widest the random draws reach
+        big = 2**64
+        for p in range(1, 7):
+            a = [[big] * p for _ in range(p)]
+            b = [[-big if r == c else big for c in range(p)] for r in range(p)]
+            for i in range(1, p + 1):
+                assert wishart._pencil_esf(a, b, i) == interpolated_esf(a, b, i)
+
+    def test_value_above_the_top_digit_raises(self, monkeypatch):
+        a, b = [[2, 1], [1, 3]], [[1, 0], [0, 1]]
+        full = linalg.charpoly
+
+        def shifted(m, top=None):
+            e = full(m, top)
+            return e[:-1] + [e[-1] + (1 << 10_000)]
+
+        monkeypatch.setattr(linalg, "charpoly", shifted)
+        with pytest.raises(ArithmeticError):
+            wishart._pencil_esf(a, b, 2)
 
 
 class TestUmbralWork:
