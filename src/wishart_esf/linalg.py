@@ -94,35 +94,35 @@ def inverse(a: Sequence[Sequence]) -> tuple:
 
 def charpoly(a: Sequence[Sequence], top: int | None = None) -> list:
     """``[e_0, ..., e_top]``: the elementary symmetric functions of the latent
-    roots of a symmetric matrix, the coefficients of ``det(t I + A)``; all of
+    roots of a square matrix, the coefficients of ``det(t I + A)``; all of
     them, up to ``e_p``, when ``top`` is ``None`` or above the dimension.
 
     Berkowitz's division-free recurrence (IPL 18 (1984) 147-150) grows the
     characteristic polynomial one leading block at a time, using ring
     operations only: integer entries give integers, ``Fraction``s stay exact.
     Each block multiplies by a lower triangular Toeplitz matrix, so the
-    coefficients up to ``top`` need only ``min(r, top - 1)`` inner products
-    ``R A_r^s S`` in block ``r``.  A symmetric matrix's new row ``R`` is its
-    new column ``S``, so ``R A_r^s S = (A_r^ceil(s/2) S) . (A_r^floor(s/2) S)``
-    takes half the general step's matrix-vector products.  The closed form
-    runs it on a Kronecker-packed pencil (Kronecker 1882) of wide integers.
+    coefficients up to ``top`` need only the first ``top + 1`` entries of
+    its column: block ``r`` makes ``min(r, top - 1)`` inner products.  The
+    closed form runs it on a Kronecker-packed pencil (Kronecker 1882).
     """
     p = len(a)
-    if not is_symmetric(a):
-        raise ValueError("characteristic polynomial needs a symmetric matrix")
+    if p != len(a[0]):
+        raise ValueError("characteristic polynomial needs a square matrix")
     if top is None or top > p:
         top = p
     elif top < 0:
         raise ValueError("order must be nonnegative")
     coeffs = [1]  # det(t I - A_r) of the leading r x r block, leading term first
     for r in range(p):
-        # first column of the Toeplitz factor: 1, -a_rr, -S S, -S A_r S, ...
-        steps = min(r, top - 1)
-        powers = [a[r][:r]]  # A_r^h S for h = 0 .. steps // 2
-        for _ in range(steps // 2):
-            powers.append([sum(map(mul, a[k], powers[-1])) for k in range(r)])
-        col = [1, -a[r][r]]
-        col += [-sum(map(mul, powers[(s + 1) // 2], powers[s // 2])) for s in range(steps)]
+        # first column of the Toeplitz factor, R and S the new row and column:
+        # 1, -a_rr, -R S, -R A_r S, ...
+        row = a[r]
+        col = [1, -row[r]]
+        v = [a[k][r] for k in range(r)]
+        for step in range(min(r, top - 1)):
+            if step:
+                v = [sum(map(mul, a[k], v)) for k in range(r)]
+            col.append(-sum(map(mul, row, v)))
         coeffs = [sum(map(mul, col[j::-1], coeffs)) for j in range(min(r + 2, top + 1))]
     return [-c if k % 2 else c for k, c in enumerate(coeffs)]
 
@@ -249,8 +249,8 @@ def _divisors(n: int, limit: int = 4000) -> list[int] | None:
 
 # kept for the benchmark tracer and the tests only; no library route calls it
 def rational_eigenvalues(a: Sequence[Sequence]) -> list[Fraction] | None:
-    """All eigenvalues of a symmetric matrix as exact rationals if the
-    characteristic polynomial splits over the rationals, else ``None``.
+    """All eigenvalues as exact rationals if the characteristic polynomial
+    splits over the rationals, else ``None``.
 
     Coefficients come from :func:`charpoly`; candidate roots from the
     rational root theorem with deflation.

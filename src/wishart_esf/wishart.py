@@ -317,8 +317,8 @@ def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[l
     With ``d`` the common denominator of the mean and ``M_i = d M``, the upper
     triangle of ``B = (s / d^2) M_i M_i^T`` comes from row dot products of
     ``M_i``.  A central model reads only ``Sigma``; its ``B`` is zero."""
-    m = [list(map(_integer_ratio, row)) for row in params.m or ()]
-    sigma = [list(map(_integer_ratio, row)) for row in params.sigma]
+    m = [[_integer_ratio(x) for x in row] for row in params.m or ()]
+    sigma = [[_integer_ratio(x) for x in row] for row in params.sigma]
     # clear the mean's denominators first, so that M M^T is an integer product
     d = math.lcm(*(q for row in m for _, q in row))
     mi = [[u * (d // q) for u, q in row] for row in m]
@@ -356,7 +356,7 @@ def expected_esf_umbral(params: WishartParams, i: int):
 
 def _pencil_esf(a: list[list[int]], b: list[list[int]], i: int) -> list[int]:
     """Coefficients, lowest degree first, of ``e_i(A + t B)``, ``i >= 1``, for
-    symmetric integer matrices, from one :func:`linalg.charpoly` run.
+    square integer matrices, from one :func:`linalg.charpoly` run.
 
     Kronecker substitution (Kronecker 1882): ``e_i(A + 2^K B)`` is read as
     ``i + 1`` balanced base-``2^K`` digits.  Each ``|[t^k] e_i|`` is at most

@@ -13,6 +13,15 @@ from wishart_esf import linalg, oracles
 from wishart_esf.cli import format_scalar
 from wishart_esf.umbra import UmbralPolynomial
 
+# a float covariance symmetric only within the tolerance WishartParams allows:
+# its (1, 0) entry is two ulps above its (0, 1) entry
+NEARLY_SYMMETRIC_SIGMA = (
+    (4e5, 1e5, -2e5),
+    (1e5 * (1 + 4e-16), 3e5, 5e4),
+    (-2e5, 5e4, 6e5),
+)
+NEARLY_SYMMETRIC_MEAN = ((0.5, -1.0, 0.25, 3.0), (2.0, 0.0, 1.5, -0.75), (1.0, 1.0, -2.0, 0.5))
+
 
 def rational(rng: Random, span: int = 3, max_den: int = 4) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))

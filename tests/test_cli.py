@@ -21,7 +21,7 @@ from wishart_esf.cli import (
     parse_matrix_csv,
 )
 
-from conftest import write_matrix_csv
+from conftest import NEARLY_SYMMETRIC_MEAN, NEARLY_SYMMETRIC_SIGMA, write_matrix_csv
 
 
 def run_cli(args: list[str]) -> subprocess.CompletedProcess:
@@ -256,6 +256,26 @@ class TestCompute:
         assert code == EXIT_OK
         (row,) = json.loads(capsys.readouterr().out)["results"]
         assert row["values"] == {m: route(params, 2) for m, route in routes.items()}
+
+    def test_covariance_symmetric_within_tolerance(self, tmp_path, capsys):
+        sigma, mean = str(tmp_path / "s.csv"), str(tmp_path / "m.csv")
+        write_matrix_csv(sigma, NEARLY_SYMMETRIC_SIGMA)
+        write_matrix_csv(mean, NEARLY_SYMMETRIC_MEAN)
+        params = wishart.WishartParams(4, 3, NEARLY_SYMMETRIC_SIGMA, NEARLY_SYMMETRIC_MEAN)
+        model = ["--n", "4", "--p", "3", "--sigma", sigma, "--m", mean, "--i", "1..3"]
+        routes = {
+            "closed-form": wishart.expected_esf_closed_form,
+            "umbral": wishart.expected_esf_umbral,
+        }
+        for method, route in routes.items():
+            assert main(["compute", "--method", method, "--no-timing", *model]) == EXIT_OK
+            report = json.loads(capsys.readouterr().out)
+            assert [row["value"] for row in report["results"]] == [
+                route(params, i) for i in range(1, 4)
+            ]
+        code = main(["compare", "--methods", "closed-form,umbral", "--no-timing", *model])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"] is True
 
     def test_monte_carlo_beyond_float_range_says_so(self, tmp_path):
         sigma = tmp_path / "huge.csv"

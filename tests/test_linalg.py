@@ -21,32 +21,12 @@ INTEGER_SIGMA = (
 )
 
 
-def symmetrized(a):
-    """``A + A^T``: symmetric, and indefinite for most random ``A``."""
-    return tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(a, zip(*a)))
-
-
-def symmetric_kinds(rng, p: int) -> list:
-    """Symmetrized rational and integer matrices, and an integer one whose
-    diagonal alternates in sign, indefinite from ``p = 2`` on."""
-    rat = symmetrized(rational_matrix(rng, p, p, span=4, max_den=3))
-    ints = symmetrized(tuple(tuple(rng.randint(-6, 6) for _ in range(p)) for _ in range(p)))
-    indefinite = tuple(
-        tuple((-1) ** r * (abs(x) + 1) if r == c else x for c, x in enumerate(row))
-        for r, row in enumerate(ints)
-    )
-    return [rat, ints, indefinite]
-
-
 class TestCharpoly:
     def test_matches_principal_minor_sums(self, rng):
-        definite = set()
         for _ in range(30):
             p = rng.randint(1, 6)
-            for a in symmetric_kinds(rng, p):
-                assert linalg.charpoly(a) == [linalg.principal_minor_sum(a, i) for i in range(p + 1)]
-                definite.add(linalg.is_positive_definite(a))
-        assert definite == {True, False}
+            a = rational_matrix(rng, p, p, span=4, max_den=3)  # not symmetric
+            assert linalg.charpoly(a) == [linalg.principal_minor_sum(a, i) for i in range(p + 1)]
 
     def test_integer_entries_give_integers(self):
         e = linalg.charpoly(INTEGER_SIGMA)
@@ -56,7 +36,10 @@ class TestCharpoly:
     def test_truncated_is_a_prefix(self, rng):
         for _ in range(20):
             p = rng.randint(1, 8)
-            for a in symmetric_kinds(rng, p):
+            rat = rational_matrix(rng, p, p, span=4, max_den=3)  # not symmetric
+            ints = tuple(tuple(rng.randint(-6, 6) for _ in range(p)) for _ in range(p))
+            sym = tuple(tuple(x + y for x, y in zip(row, col)) for row, col in zip(rat, zip(*rat)))
+            for a in (rat, ints, sym):
                 full = linalg.charpoly(a)
                 for top in range(p + 1):
                     assert linalg.charpoly(a, top) == full[: top + 1], (a, top)
@@ -77,15 +60,6 @@ class TestCharpoly:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             linalg.charpoly(((1, 2),))
-
-    def test_requires_symmetric(self):
-        # the symmetric Berkowitz step reads the new row as the new column
-        half, third = Fraction(1, 2), Fraction(1, 3)
-        for a in (((1, 2), (3, 4)), ((1, half), (third, 1)), ((0, 1, 0), (1, 0, 0), (0, 2, 0))):
-            with pytest.raises(ValueError):
-                linalg.charpoly(a)
-            with pytest.raises(ValueError):
-                linalg.charpoly(a, 1)
 
 
 def naive_power_traces(coeffs, kmax):

@@ -33,6 +33,8 @@ from wishart_esf.wishart import (
 from wishart_esf.wishart import _central_terms, _mean_terms
 
 from conftest import (
+    NEARLY_SYMMETRIC_MEAN,
+    NEARLY_SYMMETRIC_SIGMA,
     esf_by_column_subsets,
     float_matrix,
     float_spd,
@@ -776,6 +778,18 @@ class TestRouteAgreement:
         closed = expected_esf_closed_form(params, 5)
         assert closed == 1667520 and isinstance(closed, Fraction)
         assert expected_esf_umbral(params, 5) == closed
+
+    def test_covariance_symmetric_within_tolerance(self):
+        # both routes read the accepted covariance as given, like the oracle
+        sigma = NEARLY_SYMMETRIC_SIGMA
+        assert sigma[1][0] != sigma[0][1]
+        for m in (None, NEARLY_SYMMETRIC_MEAN):
+            params = WishartParams(4, 3, sigma, m)
+            assert params.mode == "float"
+            for i in range(1, 4):
+                want = float(esf_by_column_subsets(4, sigma, m, i))
+                assert expected_esf_closed_form(params, i) == want, (m, i)
+                assert expected_esf_umbral(params, i) == want, (m, i)
 
     def test_value_type_follows_mode(self):
         # unit float entries keep the kernel's coefficients integer inside the route
