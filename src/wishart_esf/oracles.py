@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 WICK_DEGREE_LIMIT = 12
-_MC_BATCH = 4096  # rows per batch; bounds the temporaries, not part of the output
+_MC_BATCH = 4096  # rows per batch; sizes the buffers every batch reuses, not part of the output
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,8 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
 
     Single stream, drawn in batches of any size: the draw sequence depends
     only on (seed, samples, p, n), which is the package's reproducibility contract.
+    Each batch is a view of one buffer that the next batch overwrites, so a
+    caller consumes it before asking for the next.
     """
     import numpy as np
 
@@ -166,27 +168,34 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
         if params.m is None
         else np.array(linalg.to_float(params.m), dtype=float)
     )
+    shape = (min(_MC_BATCH, samples), params.p, params.n)
+    z, x = np.empty(shape), np.empty(shape)
     remaining = samples
     while remaining > 0:
         b = min(_MC_BATCH, remaining)
-        z = rng.standard_normal((b, params.p, params.n))
-        yield mean + np.matmul(low, z)
+        rng.standard_normal(out=z[:b])
+        np.matmul(low, z[:b], out=x[:b])
+        yield np.add(mean, x[:b], out=x[:b])
         remaining -= b
 
 
-def _batched_esf(w, i: int):
+def _batched_esf(w, i: int, work=None):
     """``e_i`` of the latent roots of each matrix in a batch: Faddeev-LeVerrier
-    stopped at order ``i``."""
+    stopped at order ``i``.  ``work`` is an optional pair of C-contiguous
+    buffers of the shape of ``w`` that the recurrence overwrites."""
     import numpy as np
 
-    eye = np.eye(w.shape[1])
-    # det(t I - A) = sum_k c_k t^(p-k): M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k
-    am = np.zeros_like(w)
-    c = np.ones(len(w))
+    b, p = w.shape[:2]
+    am, tmp = (np.empty(w.shape), np.empty(w.shape)) if work is None else work
+    # det(t I - A) = sum_k c_k t^(p-k): M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k,
+    # from M_1 = A, which is A times I bit for bit wherever A is finite
+    np.copyto(am, w)
+    c = -np.trace(am, axis1=1, axis2=2)
     # an overflow here leaves a non-finite value, which _summarize rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, i + 1):
-            am = np.matmul(w, am + c[:, None, None] * eye)
+        for k in range(2, i + 1):
+            am.reshape(b, p * p)[:, :: p + 1] += c[:, None]  # the diagonal, in place
+            am, tmp = np.matmul(w, am, out=tmp), am
             c = -np.trace(am, axis1=1, axis2=2) / k
     return -c if i % 2 else c
 
@@ -209,11 +218,17 @@ def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> E
         raise ValueError("need at least 2 samples")
     if i > params.p:
         return Estimate(value=0.0, stderr=0.0, samples=samples, seed=seed)
-    chunks = []
+    # every batch runs in buffers made once per call
+    values = np.empty(samples)
+    shape = (min(_MC_BATCH, samples), params.p, params.p)
+    gram, am, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    start = 0
     for x in _sample_batches(params, samples, seed):
-        w = np.matmul(x, np.transpose(x, (0, 2, 1)))
-        chunks.append(_batched_esf(w, i))
-    return _summarize(np.concatenate(chunks), samples, seed)
+        b = len(x)
+        w = np.matmul(x, np.transpose(x, (0, 2, 1)), out=gram[:b])
+        values[start : start + b] = _batched_esf(w, i, (am[:b], tmp[:b]))
+        start += b
+    return _summarize(values, samples, seed)
 
 
 def _summarize(values, samples: int, seed: int) -> Estimate:

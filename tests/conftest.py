@@ -203,10 +203,36 @@ def mc_trace_moment(params, i: int, y, x, samples: int, seed: int) -> oracles.Es
 
     weights = np.outer(np.array([float(v) for v in y]) ** 2, np.array([float(v) for v in x]) ** 2)
     chunks = []
+    # each batch is a view that the next one overwrites: reduce it to q first
     for xs in oracles._sample_batches(params, samples, seed):
         q = np.einsum("aj,baj->b", weights, xs**2)
         with np.errstate(over="ignore"):
             chunks.append(q**i)
+    return oracles._summarize(np.concatenate(chunks), samples, seed)
+
+
+def allocating_mc_esf(params, i: int, samples: int, seed: int) -> oracles.Estimate:
+    """Reference for the bits of ``mc_expected_esf`` at ``1 <= i <= p``: the
+    same stream and recurrence with fresh arrays for every 4,096-row batch, the
+    Faddeev-LeVerrier recurrence started from ``M_0 = 0`` (its first step
+    multiplies by the identity), and the per-sample values concatenated."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    low = np.array(linalg.cholesky_lower(params.sigma), dtype=float)
+    mean = np.zeros((params.p, params.n)) if params.m is None else np.array(linalg.to_float(params.m))
+    eye = np.eye(params.p)
+    chunks = []
+    for start in range(0, samples, 4096):
+        z = rng.standard_normal((min(4096, samples - start), params.p, params.n))
+        x = mean + np.matmul(low, z)
+        w = np.matmul(x, np.transpose(x, (0, 2, 1)))
+        am, c = np.zeros_like(w), np.ones(len(w))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, i + 1):
+                am = np.matmul(w, am + c[:, None, None] * eye)
+                c = -np.trace(am, axis1=1, axis2=2) / k
+        chunks.append(-c if i % 2 else c)
     return oracles._summarize(np.concatenate(chunks), samples, seed)
 
 

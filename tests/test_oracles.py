@@ -18,7 +18,15 @@ from wishart_esf.oracles import (
 )
 from wishart_esf.wishart import WishartParams, expected_esf_closed_form
 
-from conftest import mc_trace_moment, perfect_matchings, rational_diag_spd, rational_matrix
+from conftest import (
+    allocating_mc_esf,
+    float_matrix,
+    float_spd,
+    mc_trace_moment,
+    perfect_matchings,
+    rational_diag_spd,
+    rational_matrix,
+)
 
 
 def _pairing_mean_cov(cov_matrix, means=None):
@@ -279,3 +287,56 @@ class TestMonteCarlo:
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
             Estimate(value=1.0, stderr=-1.0, samples=3, seed=0)
+
+
+class TestMonteCarloBuffers:
+    """The batches run in buffers made once per call, with the same bits as
+    fresh arrays per batch, one product fewer per batch and no copy of the
+    per-sample values."""
+
+    @pytest.mark.parametrize("batch", [1000, 4096])
+    def test_bits_match_the_allocating_estimator(self, rng, monkeypatch, batch):
+        monkeypatch.setattr(oracles, "_MC_BATCH", batch)
+        for p in (1, 3, 6):
+            sigma = float_spd(rng, p)
+            for m in (None, float_matrix(rng, p, p + 2)):
+                params = WishartParams(p + 2, p, sigma, m)
+                for i in range(1, p + 1):
+                    for samples in (2, 4095, 4096, 4097, 9000):
+                        seed = rng.randrange(2**32)
+                        got = mc_expected_esf(params, i, samples, seed)
+                        want = allocating_mc_esf(params, i, samples, seed)
+                        assert (got.value.hex(), got.stderr.hex()) == (
+                            want.value.hex(),
+                            want.stderr.hex(),
+                        ), (p, m is None, i, samples)
+
+    def test_products_per_batch(self, rng, monkeypatch):
+        # the draw, the Gram matrix and i - 1 recurrence steps: M_1 = W
+        # needs no product with the identity
+        params = WishartParams(6, 4, float_spd(rng, 4), float_matrix(rng, 4, 6))
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        for i in range(1, 5):
+            calls.clear()
+            mc_expected_esf(params, i, samples=9000, seed=i)
+            assert len(calls) == 3 * (i + 1), i  # 9000 samples are 3 batches
+
+    def test_memory_is_the_values_and_their_summary(self):
+        # 10^6 values are 8 MB; _summarize holds two more arrays of that
+        # size at once, and the batches add well under 1 MB
+        params = WishartParams(3, 2, ((2.0, 0.5), (0.5, 1.0)))
+        mc_expected_esf(params, 2, samples=10, seed=5)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            mc_expected_esf(params, 2, samples=10**6, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25_000_000
