@@ -157,9 +157,13 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
     Single stream, drawn in batches of any size: the draw sequence depends
     only on (seed, samples, p, n), which is the package's reproducibility contract.
     Each batch is a view of one buffer that the next batch overwrites, so a
-    caller consumes it before asking for the next.
+    caller consumes it before asking for the next.  One worker thread, the
+    only one that touches the generator, refills the normals buffer with the
+    next batch while the caller holds the current one; a failed draw raises
+    here, and closing the generator waits for the worker to finish.
     """
     import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
 
     rng = np.random.default_rng(seed)
     low = np.array(linalg.cholesky_lower(params.sigma), dtype=float)
@@ -170,13 +174,17 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
     )
     shape = (min(_MC_BATCH, samples), params.p, params.n)
     z, x = np.empty(shape), np.empty(shape)
-    remaining = samples
-    while remaining > 0:
-        b = min(_MC_BATCH, remaining)
-        rng.standard_normal(out=z[:b])
-        np.matmul(low, z[:b], out=x[:b])
-        yield np.add(mean, x[:b], out=x[:b])
-        remaining -= b
+    sizes = [min(_MC_BATCH, samples - start) for start in range(0, samples, _MC_BATCH)]
+    if not sizes:
+        return
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        draw = worker.submit(rng.standard_normal, out=z[: sizes[0]])
+        for b, ahead in zip(sizes, sizes[1:] + [0]):
+            draw.result()
+            np.matmul(low, z[:b], out=x[:b])
+            if ahead:  # z is free again: draw the next batch while the caller reduces x
+                draw = worker.submit(rng.standard_normal, out=z[:ahead])
+            yield np.add(mean, x[:b], out=x[:b])
 
 
 def _batched_esf(w, i: int, work=None):

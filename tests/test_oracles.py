@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -289,10 +290,46 @@ class TestMonteCarlo:
             Estimate(value=1.0, stderr=-1.0, samples=3, seed=0)
 
 
+class _RecordingGenerator:
+    """Stands in for the generator the sampler makes: records the thread of
+    each draw, signals when draw ``k`` starts and can fail draw ``fail_at``."""
+
+    def __init__(self, rng, fail_at=None):
+        self.rng = rng
+        self.fail_at = fail_at
+        self.threads = []
+        self.started = [threading.Event() for _ in range(8)]
+
+    def standard_normal(self, *args, **kwargs):
+        k = len(self.threads)
+        self.threads.append(threading.get_ident())
+        self.started[k].set()
+        if k == self.fail_at:
+            raise _DrawFailed(k)
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+class _DrawFailed(RuntimeError):
+    pass
+
+
+def _record_draws(monkeypatch, fail_at=None):
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording(seed):
+        made.append(_RecordingGenerator(default_rng(seed), fail_at))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    return made
+
+
 class TestMonteCarloBuffers:
     """The batches run in buffers made once per call, with the same bits as
     fresh arrays per batch, one product fewer per batch and no copy of the
-    per-sample values."""
+    per-sample values; the next batch is drawn on one worker thread while
+    the caller reduces the current one."""
 
     @pytest.mark.parametrize("batch", [1000, 4096])
     def test_bits_match_the_allocating_estimator(self, rng, monkeypatch, batch):
@@ -340,3 +377,45 @@ class TestMonteCarloBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 25_000_000
+
+    def test_next_batch_is_drawn_ahead(self, rng, monkeypatch):
+        params = WishartParams(6, 4, float_spd(rng, 4), float_matrix(rng, 4, 6))
+        made = _record_draws(monkeypatch)
+        batches = 0
+        for k, _ in enumerate(oracles._sample_batches(params, 9000, seed=3)):
+            if k < 2:  # batch k + 1 is on its way before the caller reduces batch k
+                assert made[0].started[k + 1].wait(timeout=10), k
+            batches += 1
+        threads = made[0].threads
+        assert batches == len(threads) == 3
+        assert len(set(threads)) == 1 and threads[0] != threading.get_ident()
+
+    def test_failed_draw_raises_instead_of_an_estimate(self, rng, monkeypatch):
+        params = WishartParams(6, 4, float_spd(rng, 4))
+        _record_draws(monkeypatch, fail_at=1)
+        with pytest.raises(_DrawFailed):
+            mc_expected_esf(params, 2, samples=9000, seed=3)
+
+    def test_no_thread_is_left_running(self, rng, monkeypatch):
+        params = WishartParams(6, 4, float_spd(rng, 4))
+        before = threading.active_count()
+        mc_expected_esf(params, 2, samples=9000, seed=3)
+        assert threading.active_count() == before
+        batches = oracles._sample_batches(params, 9000, seed=3)
+        next(batches)
+        batches.close()
+        assert threading.active_count() == before
+        reduced = []
+
+        def failing(w, i, work=None):  # the consumer fails on the second batch
+            reduced.append(i)
+            if len(reduced) == 2:
+                raise RuntimeError("reduction failed")
+            return np.zeros(len(w))
+
+        monkeypatch.setattr(oracles, "_batched_esf", failing)
+        with pytest.raises(RuntimeError, match="reduction failed"):
+            mc_expected_esf(params, 2, samples=9000, seed=3)
+        assert threading.active_count() == before
+        assert list(oracles._sample_batches(params, 0, seed=3)) == []
+        assert threading.active_count() == before
