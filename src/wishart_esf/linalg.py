@@ -198,10 +198,6 @@ def is_symmetric(a: Sequence[Sequence], tol: float = 0.0) -> bool:
     return True
 
 
-def is_diagonal(a: Sequence[Sequence]) -> bool:
-    return all(a[r][c] == 0 for r in range(len(a)) for c in range(len(a[0])) if r != c)
-
-
 def is_positive_definite(a: Sequence[Sequence]) -> bool:
     """Whether a symmetric matrix is positive definite: every pivot of its
     symmetric elimination ``A = L D L^T`` is positive.

@@ -187,14 +187,14 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
             yield np.add(mean, x[:b], out=x[:b])
 
 
-def _batched_esf(w, i: int, work=None):
+def _batched_esf(w, i: int, work):
     """``e_i`` of the latent roots of each matrix in a batch: Faddeev-LeVerrier
-    stopped at order ``i``.  ``work`` is an optional pair of C-contiguous
-    buffers of the shape of ``w`` that the recurrence overwrites."""
+    stopped at order ``i``.  ``work`` is a pair of C-contiguous buffers of the
+    shape of ``w`` that the recurrence overwrites."""
     import numpy as np
 
     b, p = w.shape[:2]
-    am, tmp = (np.empty(w.shape), np.empty(w.shape)) if work is None else work
+    am, tmp = work
     # det(t I - A) = sum_k c_k t^(p-k): M_k = A M_(k-1) + c_(k-1) I, c_k = -tr(A M_k) / k,
     # from M_1 = A, which is A times I bit for bit wherever A is finite
     np.copyto(am, w)

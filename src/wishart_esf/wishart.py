@@ -1,5 +1,6 @@
-"""Noncentral Wishart parameters, squared-trace cumulants, and the two routes
-to the expected elementary symmetric functions of the latent roots.
+"""Noncentral Wishart parameters, the cumulants of the weighted squared trace
+(one quadratic-form law on every covariance), and the two routes to the
+expected elementary symmetric functions of the latent roots.
 
 Both routes use ``E[e_i(W)] = sum_k a_k [t^k] e_i(Sigma + t M M^T)``, where
 the coefficients ``a_k`` depend only on ``n`` and ``i``.  The umbral route
@@ -46,8 +47,6 @@ from .umbra import (
 
 __all__ = [
     "WishartParams",
-    "central_cumulant",
-    "mean_cumulant",
     "trace_cumulant",
     "trace_moment",
     "expected_esf_umbral",
@@ -68,7 +67,9 @@ class WishartParams:
     ``Fraction``, ``"float"`` when any entry is a float, and ``"symbolic"``
     for the validation-free variant ``symbolic()`` builds, whose diagonal
     covariance entries and mean entries are indeterminates, for inspecting
-    cumulants as printable polynomials.
+    cumulants as printable polynomials.  A numeric covariance is read in its
+    own frame; the latent-root form belongs to ``symbolic()``, whose
+    ``Sigma = diag(theta)`` with a free mean is the rotated frame.
     """
 
     def __init__(self, n: int, p: int, sigma, m=None) -> None:
@@ -134,10 +135,6 @@ class WishartParams:
     def x_vars(self) -> list[Indeterminate]:
         return indeterminates("x", self.n)
 
-    @cached_property
-    def theta_syms(self) -> list[Indeterminate]:
-        return indeterminates("th", self.p)
-
     def __repr__(self) -> str:
         return f"WishartParams(n={self.n}, p={self.p}, mode={self.mode})"
 
@@ -145,82 +142,37 @@ class WishartParams:
 # -- cumulants of the weighted squared trace ---------------------------------
 
 
-def _lift_all(values: Sequence) -> list[UmbralPolynomial]:
-    return [UmbralPolynomial.coerce(v) for v in values]
-
-
-def _central_terms(k: int, yv: Sequence, xv: Sequence, theta: Sequence) -> UmbralPolynomial:
-    # (k-1)! 2^(k-1) * (sum_j x_j^(2k)) * (sum_l y_l^(2k) theta_l^k)
-    xs = UmbralPolynomial.zero()
-    for x in xv:
-        xs = xs + x ** (2 * k)
-    ys = UmbralPolynomial.zero()
-    for y, th in zip(yv, theta):
-        ys = ys + y ** (2 * k) * th**k
-    factor = math.factorial(k - 1) * 2 ** (k - 1)
-    return xs.mul(ys).scale(factor)
-
-
-def _mean_terms(
-    k: int,
-    yv: Sequence,
-    xv: Sequence,
-    m: Sequence[Sequence] | None,
-    sigma: Sequence[Sequence],
-) -> UmbralPolynomial:
-    if m is None or all(
-        not isinstance(x, UmbralPolynomial) and x == 0 for row in m for x in row
-    ):
-        return UmbralPolynomial.zero()
-    # k! 2^(k-1) sum_j x_j^(2k) m_j^T H m_j with H = (D Sigma)^(k-1) D and
-    # D = diag(y_a^2): the block-diagonal Kronecker factor reduces the
-    # quadratic form in D_y m_j x_j to one p x p polynomial matrix power,
-    # shared by every column; at k = 1 the power is the identity and H = D.
-    d = UmbralMatrix.diag([y**2 for y in yv])
-    h = d.matmul(UmbralMatrix.from_rows(sigma)).matpow(k - 1).matmul(d)
-    total = UmbralPolynomial.zero()
-    for j in range(len(m[0])):
-        col = UmbralMatrix.from_rows([[row[j]] for row in m])
-        quad = col.transpose().matmul(h.matmul(col)).get(0, 0)
-        total = total + (xv[j] ** (2 * k)).mul(quad)
-    factor = math.factorial(k) * 2 ** (k - 1)
-    return total.scale(factor)
-
-
-def central_cumulant(params: WishartParams, k: int) -> UmbralPolynomial:
-    """k-th cumulant of the weighted squared trace for the central part: a
-    polynomial in the weight indeterminates ``y``, ``x`` with latent-root
-    coefficients, the diagonal of a diagonal covariance and the symbols
-    ``theta_syms`` otherwise."""
-    if k < 1:
-        raise ValueError("cumulant order must be positive")
-    if linalg.is_diagonal(params.sigma):
-        theta = [params.sigma[l][l] for l in range(params.p)]
-    else:
-        theta = _lift_all(params.theta_syms)
-    yv = _lift_all(params.y_vars)
-    xv = _lift_all(params.x_vars)
-    return _central_terms(k, yv, xv, theta)
-
-
-def mean_cumulant(params: WishartParams, k: int) -> UmbralPolynomial:
-    """Mean contribution to the k-th cumulant; identically zero when the mean
-    matrix vanishes."""
-    if k < 1:
-        raise ValueError("cumulant order must be positive")
-    yv = _lift_all(params.y_vars)
-    xv = _lift_all(params.x_vars)
-    return _mean_terms(k, yv, xv, params.m, params.sigma)
-
-
 def trace_cumulant(params: WishartParams, k: int) -> UmbralPolynomial:
-    return central_cumulant(params, k) + mean_cumulant(params, k)
+    """k-th cumulant of the weighted squared trace ``tr[(D_y X D_x)(D_y X D_x)^T]``,
+    a polynomial in the weight indeterminates ``y``, ``x``.
+
+    Column ``j`` contributes ``x_j^2 |D_y X_j|^2`` with ``X_j ~ N(m_j, Sigma)``
+    independent, a noncentral quadratic form, so
+    ``kappa_k = (k-1)! 2^(k-1) sum_j x_j^(2k) [tr((D Sigma)^k) + k m_j^T H m_j]``
+    with ``D = diag(y^2)`` and ``H = (D Sigma)^(k-1) D``: one polynomial
+    matrix power, shared by the central part ``tr(H Sigma)`` and every column.
+    """
+    if k < 1:
+        raise ValueError("cumulant order must be positive")
+    d = UmbralMatrix.diag([y**2 for y in params.y_vars])
+    sigma = UmbralMatrix.from_rows(params.sigma)
+    h = d.matmul(sigma).matpow(k - 1).matmul(d)
+    central = h.matmul(sigma).trace()
+    total = UmbralPolynomial.zero()
+    for j, x in enumerate(params.x_vars):
+        part = central
+        if params.m is not None:
+            col = UmbralMatrix.from_rows([[row[j]] for row in params.m])
+            part = part + col.transpose().matmul(h.matmul(col)).get(0, 0).scale(k)
+        total = total + (x ** (2 * k)).mul(part)
+    return total.scale(math.factorial(k - 1) * 2 ** (k - 1))
 
 
 def trace_moment(params: WishartParams, i: int) -> UmbralPolynomial:
-    """i-th raw moment of the weighted squared trace: the complete Bell
-    polynomial in the first ``i`` cumulants, computed over the polynomial
-    ring."""
+    """i-th raw moment of the weighted squared trace,
+    ``B_i(kappa_1, ..., kappa_i)``: the complete Bell polynomial in the
+    cumulants of :func:`trace_cumulant`, computed over the polynomial ring,
+    for any covariance and mean."""
     if i < 1:
         raise ValueError("moment order must be positive")
     cumulants = [trace_cumulant(params, k) for k in range(1, i + 1)]

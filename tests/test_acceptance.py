@@ -218,7 +218,25 @@ def test_c08_trace_moment_vs_pairings():
             poly = substitute_all(trace_moment(params, i), params.y_vars + params.x_vars, yw + xw)
             assert poly.as_scalar() == wick_trace_moment(params, yw, xw, i), (i, yw, xw)
             checked += 1
-    _report("c08", f"squared-trace moments equal the pairing expansion on {checked} cases")
+    # a dense covariance, central and with a dense mean, at unequal weights
+    rng = Random(186)
+    for central in (True, False):
+        sigma = rational_full_spd(rng, 2)
+        m = None if central else rational_matrix(rng, 2, 2, span=2, max_den=2)
+        params = WishartParams(2, 2, sigma, m)
+        yw = rational_vector(rng, 2, span=2, max_den=2)
+        xw = rational_vector(rng, 2, span=2, max_den=2)
+        assert sigma[0][1] and (central or all(map(all, m)))
+        assert 0 < yw[0] ** 2 != yw[1] ** 2 > 0 and 0 < xw[0] ** 2 != xw[1] ** 2 > 0
+        for i in (1, 2):
+            poly = substitute_all(trace_moment(params, i), params.y_vars + params.x_vars, yw + xw)
+            assert poly.as_scalar() == wick_trace_moment(params, yw, xw, i), (central, i, yw, xw)
+            checked += 1
+    _report(
+        "c08",
+        f"squared-trace moments equal the pairing expansion on {checked} cases, "
+        "4 of them on a dense covariance",
+    )
 
 
 def test_c09_quadratic_form_cumulants():

@@ -238,7 +238,7 @@ class TestMonteCarlo:
             for subset in itertools.combinations(range(6), i):
                 idx = np.array(subset)
                 want += np.linalg.det(w[:, idx[:, None], idx[None, :]])
-            got = _batched_esf(w, i)
+            got = _batched_esf(w, i, (np.empty(w.shape), np.empty(w.shape)))
             for stat in (np.mean, lambda v: np.std(v, ddof=1) / np.sqrt(len(v))):
                 assert abs(stat(got) - stat(want)) <= 1e-10 * abs(stat(want)), i
 
@@ -407,7 +407,7 @@ class TestMonteCarloBuffers:
         assert threading.active_count() == before
         reduced = []
 
-        def failing(w, i, work=None):  # the consumer fails on the second batch
+        def failing(w, i, work):  # the consumer fails on the second batch
             reduced.append(i)
             if len(reduced) == 2:
                 raise RuntimeError("reduction failed")

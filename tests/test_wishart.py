@@ -21,16 +21,13 @@ from wishart_esf.oracles import wick_expected_esf, wick_trace_moment
 from wishart_esf.umbra import UmbralPolynomial, deltas, evaluate, falling, gaussian
 from wishart_esf.wishart import (
     WishartParams,
-    central_cumulant,
     expected_esf_closed_form,
     expected_esf_umbral,
-    mean_cumulant,
     noncentral_chisq_cumulant,
     singleton_cross_term_identity,
     trace_cumulant,
     trace_moment,
 )
-from wishart_esf.wishart import _central_terms, _mean_terms
 
 from conftest import (
     NEARLY_SYMMETRIC_MEAN,
@@ -133,48 +130,66 @@ class TestParams:
                 WishartParams(3, 2, sigma)
 
 
+def _mean_indeterminates(params):
+    # symbolic() lifts each mean entry from one indeterminate
+    return [v for row in params.m for entry in row for (_, ind), _ in entry.terms() for v, _ in ind]
+
+
 class TestCumulants:
     def test_central_cumulant_printed_form(self):
+        # with the mean at zero, symbolic()'s Sigma = diag(theta) gives the
+        # latent-root form (k-1)! 2^(k-1) sum_j x_j^(2k) sum_l y_l^(2k) theta_l^k
         params = WishartParams.symbolic(3, 2)
-        q1 = central_cumulant(params, 1)
+        means = _mean_indeterminates(params)
         y, x, th = params.y_vars, params.x_vars, params.theta_syms
-        want = UmbralPolynomial.zero()
-        for j in range(3):
-            for l in range(2):
-                want = want + x[j] ** 2 * y[l] ** 2 * th[l]
-        assert q1 == want
-
-    def test_central_cumulant_of_dense_covariance_prints_theta(self):
-        # latent roots are never computed: a dense covariance, even one whose
-        # roots are rational (7 and 3 here) or float, keeps its theta symbols
-        split = ((Fraction(5), Fraction(2)), (Fraction(2), Fraction(5)))
-        for sigma in (split, ((2.0, 0.5), (0.5, 1.0))):
-            params = WishartParams(3, 2, sigma)
-            y, x, th = params.y_vars, params.x_vars, params.theta_syms
+        for k, factor in ((1, 1), (2, 2), (3, 8)):
             want = UmbralPolynomial.zero()
             for j in range(3):
                 for l in range(2):
-                    want = want + x[j] ** 2 * y[l] ** 2 * th[l]
-            q1 = central_cumulant(params, 1)
-            assert q1 == want
-            assert str(q1) == str(want) and "th1" in str(q1)
+                    want = want + x[j] ** (2 * k) * y[l] ** (2 * k) * th[l] ** k
+            got = substitute_all(trace_cumulant(params, k), means, [0] * len(means))
+            assert got == want.scale(factor), k
+
+    def test_dense_covariance_is_read_in_its_own_frame(self):
+        # no latent roots: a dense covariance, even one whose roots are
+        # rational (7 and 3 here) or float, gives sum_j sum_a x_j^2 y_a^2 sigma_aa
+        # at k = 1 and 2 sum_j x_j^4 tr((D Sigma)^2) at k = 2, D = diag(y^2)
+        split = ((Fraction(5), Fraction(2)), (Fraction(2), Fraction(5)))
+        for sigma in (split, ((2.0, 0.5), (0.5, 1.0))):
+            params = WishartParams(3, 2, sigma)
+            y, x = params.y_vars, params.x_vars
+            want1 = want2 = UmbralPolynomial.zero()
+            for j in range(3):
+                for a in range(2):
+                    want1 = want1 + x[j] ** 2 * y[a] ** 2 * sigma[a][a]
+                    for b in range(2):
+                        want2 = want2 + x[j] ** 4 * y[a] ** 2 * y[b] ** 2 * (2 * sigma[a][b] ** 2)
+            q1, q2 = trace_cumulant(params, 1), trace_cumulant(params, 2)
+            assert q1 == want1 and q2 == want2
+            assert "th" not in str(q1) + str(q2)
+        params = WishartParams(3, 2, split)
+        (y1, y2), x = params.y_vars, params.x_vars
+        per_column = 50 * y1**4 + 16 * y1**2 * y2**2 + 50 * y2**4
+        assert trace_cumulant(params, 2) == sum((x[j] ** 4 * per_column for j in range(3)), 0)
 
     def test_central_cumulant_at_unit_weights(self):
         n, p = 3, 2
         params = WishartParams(n, p, linalg.identity(p))
         weights = params.y_vars + params.x_vars
-        q1 = substitute_all(central_cumulant(params, 1), weights, [1] * len(weights))
+        q1 = substitute_all(trace_cumulant(params, 1), weights, [1] * len(weights))
         assert q1.as_scalar() == n * p
 
     def test_central_cumulant_zero_covariance_scale(self):
         params = WishartParams.symbolic(2, 2)
-        # replacing every latent weight by zero kills the central part
-        q2 = substitute_all(central_cumulant(params, 2), params.theta_syms, [0] * 2)
-        assert q2 == 0
+        # from k = 2 on every term carries a latent root, the mean's too
+        for k in (2, 3):
+            qk = substitute_all(trace_cumulant(params, k), params.theta_syms, [0] * 2)
+            assert qk == 0
 
     def test_mean_cumulant_printed_form(self):
+        # at k = 1, zero latent roots leave the mean part sum y_l^2 m_lj^2 x_j^2
         params = WishartParams.symbolic(3, 2)
-        qt1 = mean_cumulant(params, 1)
+        qt1 = substitute_all(trace_cumulant(params, 1), params.theta_syms, [0] * 2)
         y, x = params.y_vars, params.x_vars
         want = UmbralPolynomial.zero()
         for l in range(2):
@@ -184,22 +199,27 @@ class TestCumulants:
         assert qt1 == want
 
     def test_mean_cumulant_zero_mean(self):
-        params = WishartParams(3, 2, linalg.identity(2))
+        # an explicit zero mean adds nothing; the two models have their own
+        # weight indeterminates, with the same names
+        central = WishartParams(3, 2, linalg.identity(2))
+        zero_mean = WishartParams(3, 2, linalg.identity(2), ((0, 0, 0), (0, 0, 0)))
         for k in (1, 2, 3):
-            assert mean_cumulant(params, k) == 0
+            assert str(trace_cumulant(zero_mean, k)) == str(trace_cumulant(central, k))
 
     def test_mean_cumulant_scalar_case(self):
-        # p = n = 1, covariance (s2), mean (mval): order-2 value 4 y^4 x^4 s2 mval^2
+        # p = n = 1, covariance (s2), mean (mval): order-2 value
+        # 2 (s2^2 + 2 s2 mval^2) y^4 x^4, the mean part 4 y^4 x^4 s2 mval^2
         s2, mval = Fraction(3), Fraction(5)
         params = WishartParams(1, 1, ((s2,),), ((mval,),))
-        qt2 = mean_cumulant(params, 2)
+        q2 = trace_cumulant(params, 2)
         y, x = params.y_vars[0], params.x_vars[0]
-        assert qt2 == 4 * s2 * mval**2 * (y**4 * x**4)
+        assert q2 == (2 * s2**2 + 4 * s2 * mval**2) * (y**4 * x**4)
 
     def test_mean_cumulant_dense_covariance_and_mean(self):
-        # away from the diagonal, at rational weights: the mean part of the
-        # k-th cumulant is sum_j x_j^(2k) times the mean part of the k-th
-        # cumulant of |D_y X_j|^2, X_j ~ N(m_j, Sigma)
+        # away from the diagonal, at rational weights: the k-th cumulant is
+        # sum_j x_j^(2k) times the k-th cumulant of |D_y X_j|^2,
+        # X_j ~ N(m_j, Sigma), and its mean part is what a mean-free model
+        # of the same covariance lacks
         rng = Random(12)
         for _ in range(8):
             p = rng.randint(1, 3)
@@ -207,41 +227,52 @@ class TestCumulants:
             sigma = rational_full_spd(rng, p)
             m = rational_matrix(rng, p, n)
             params = WishartParams(n, p, sigma, m)
+            central = WishartParams(n, p, sigma)
             yw = rational_vector(rng, p, span=2, max_den=2)
             xw = rational_vector(rng, n, span=2, max_den=2)
             s = [[yw[a] * sigma[a][b] * yw[b] for b in range(p)] for a in range(p)]
             for k in range(1, 5):
-                poly = substitute_all(mean_cumulant(params, k), params.y_vars + params.x_vars, yw + xw)
-                want = sum(
-                    xw[j] ** (2 * k)
-                    * (
-                        noncentral_chisq_cumulant(s, [yw[l] * m[l][j] for l in range(p)], k)
-                        - noncentral_chisq_cumulant(s, [0] * p, k)
-                    )
-                    for j in range(n)
+                full, mean_free = (
+                    substitute_all(trace_cumulant(q, k), q.y_vars + q.x_vars, yw + xw).as_scalar()
+                    for q in (params, central)
                 )
-                assert poly.as_scalar() == want, (p, n, k)
+                columns = [
+                    noncentral_chisq_cumulant(s, [yw[l] * m[l][j] for l in range(p)], k)
+                    for j in range(n)
+                ]
+                assert full == sum(xw[j] ** (2 * k) * c for j, c in enumerate(columns)), (p, n, k)
+                central_part = noncentral_chisq_cumulant(s, [0] * p, k)
+                assert full - mean_free == sum(
+                    xw[j] ** (2 * k) * (c - central_part) for j, c in enumerate(columns)
+                ), (p, n, k)
 
     def test_float_cumulant_coefficients_are_floats(self):
         # unit float entries scale by 1.0, which must not leave int coefficients
         params = WishartParams(3, 2, ((1.0, 0.0), (0.0, 2.0)), ((1.0, 0, 0), (0, 0.5, 0)))
-        assert str(mean_cumulant(params, 2)) == "4.0*y1^4*x1^4 + 2.0*y2^4*x2^4"
+        assert str(trace_cumulant(params, 2)) == (
+            "6.0*y1^4*x1^4 + 2.0*y1^4*x2^4 + 2.0*y1^4*x3^4"
+            " + 8.0*y2^4*x1^4 + 10.0*y2^4*x2^4 + 8.0*y2^4*x3^4"
+        )
         for k in (1, 2, 3):
             assert all(type(c) is float for _, c in trace_cumulant(params, k).terms())
 
     def test_cumulant_additivity_and_mean_kill(self):
-        params = WishartParams(
-            3,
-            2,
-            ((Fraction(1), 0), (0, Fraction(2))),
-            ((Fraction(1), 0, 0), (0, Fraction(2), 0)),
-        )
-        central_only = WishartParams(3, 2, params.sigma)
-        for k in (1, 2, 3):
-            assert trace_cumulant(params, k) == central_cumulant(params, k) + mean_cumulant(
-                params, k
-            )
-            assert trace_cumulant(central_only, k) == central_cumulant(central_only, k)
+        # cumulants of independent columns add: a p=2, n=4 model is its two
+        # 2-column halves, the second mean-free, at numeric weights
+        rng = Random(9)
+        for _ in range(3):
+            sigma = rational_full_spd(rng, 2)
+            m = rational_matrix(rng, 2, 2)
+            whole = WishartParams(4, 2, sigma, [list(row) + [0, 0] for row in m])
+            first, second = WishartParams(2, 2, sigma, m), WishartParams(2, 2, sigma)
+            yw = rational_vector(rng, 2, span=2, max_den=2)
+            xw = rational_vector(rng, 4, span=2, max_den=2)
+            for k in (1, 2, 3):
+                got, a, b = (
+                    substitute_all(trace_cumulant(q, k), q.y_vars + q.x_vars, yw + x).as_scalar()
+                    for q, x in ((whole, xw), (first, xw[:2]), (second, xw[2:]))
+                )
+                assert got == a + b, k
 
     def test_cumulant_bidegree(self):
         params = WishartParams(
@@ -285,6 +316,19 @@ class TestTraceMoment:
             for i in (1, 2):
                 poly = substitute_all(trace_moment(params, i), params.y_vars + params.x_vars, yw + xw)
                 assert poly.as_scalar() == wick_trace_moment(params, yw, xw, i)
+        # a dense covariance, central and with a dense mean, at unequal weights
+        rng = Random(125)
+        for central in (True, False):
+            sigma = rational_full_spd(rng, 2)
+            m = None if central else rational_matrix(rng, 2, 2, span=2, max_den=2)
+            params = WishartParams(2, 2, sigma, m)
+            yw = rational_vector(rng, 2, span=2, max_den=2)
+            xw = rational_vector(rng, 2, span=2, max_den=2)
+            assert sigma[0][1] and (central or all(map(all, m)))
+            assert 0 < yw[0] ** 2 != yw[1] ** 2 > 0 and 0 < xw[0] ** 2 != xw[1] ** 2 > 0
+            for i in (1, 2):
+                poly = substitute_all(trace_moment(params, i), params.y_vars + params.x_vars, yw + xw)
+                assert poly.as_scalar() == wick_trace_moment(params, yw, xw, i), (central, i)
 
 
 class TestDeltaPruning:
@@ -322,13 +366,12 @@ class TestDeltaPruning:
             n = rng.randint(p, 6)
             sigma = rational_diag_spd(rng, p)
             m = rect_diag_matrix(rational_vector(rng, p, span=2, max_den=3), p, n)
-            theta = [sigma[l][l] for l in range(p)]
-            yv = [d._lift() for d in deltas(p)]
-            xv = [d._lift() for d in deltas(n)]
             params = WishartParams(n, p, sigma, m)
+            weights = params.y_vars + params.x_vars
+            delta_weights = deltas(p) + deltas(n)
             for i in range(1, p + 1):
                 cumulants = [
-                    _central_terms(k, yv, xv, theta) + _mean_terms(k, yv, xv, m, sigma)
+                    substitute_all(trace_cumulant(params, k), weights, delta_weights)
                     for k in range(1, i + 1)
                 ]
                 got = evaluate(complete_bell(cumulants)).as_scalar()
