@@ -87,7 +87,7 @@ def _read_cells(path: str) -> list[list[str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise UsageError(f"{path} is empty")

@@ -3,7 +3,8 @@
 Exact paths work on tuples of tuples holding ints / ``Fraction``s and never
 touch an eigensolver.  Elementary symmetric functions of latent roots come
 from the division-free characteristic polynomial, :func:`charpoly`, for the
-closed form, and from the traces of the powers of a matrix polynomial,
+closed form (it also gives ``UmbralMatrix.det``, over the umbral polynomial
+ring), and from the traces of the powers of a matrix polynomial,
 :func:`power_sums`, for the umbral route.  The Cholesky factor the Monte
 Carlo oracle samples with is a thin numpy wrapper; so are the SVD and the
 symmetric inverse square root, which no route calls any more.

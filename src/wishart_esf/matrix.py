@@ -1,18 +1,15 @@
 """Dense matrices over the umbral polynomial ring: products, powers,
-transpose, trace, diagonal builders, and a desk-scale determinant.
+transpose, trace, diagonal builders, and a Berkowitz determinant at any size.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
-from .combinatorics import permutation_sign
+from .linalg import charpoly
 from .umbra import UmbralPolynomial
 
 __all__ = ["UmbralMatrix"]
-
-_DET_LIMIT = 6
 
 
 class UmbralMatrix:
@@ -84,8 +81,8 @@ class UmbralMatrix:
             raise ValueError("matrix power needs a square matrix")
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        result = UmbralMatrix.identity(self.rows)
-        for _ in range(k):
+        result = self if k else UmbralMatrix.identity(self.rows)
+        for _ in range(k - 1):
             result = result.matmul(self)
         return result
 
@@ -102,21 +99,14 @@ class UmbralMatrix:
         return acc
 
     def det(self) -> UmbralPolynomial:
-        """Signed permutation-sum determinant; exact over the ring.
-
-        Factorial cost, so refuses matrices larger than 6x6.
-        """
+        """Determinant at any size: the top coefficient of Berkowitz's
+        division-free :func:`linalg.charpoly`.  Berkowitz is a polynomial
+        identity in the entries and a pruned product computes modulo the
+        over-range umbra powers, so the result is the permutation sum's."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        if self.rows > _DET_LIMIT:
-            raise ValueError("determinant size limit")
-        acc = UmbralPolynomial.zero()
-        for perm in itertools.permutations(range(self.rows)):
-            term = UmbralPolynomial.one()
-            for r, c in enumerate(perm):
-                term = term.mul(self.get(r, c))
-            acc = acc + term.scale(permutation_sign(perm))
-        return acc
+        rows = [self._entries[r * self.cols : (r + 1) * self.cols] for r in range(self.rows)]
+        return charpoly(rows)[-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UmbralMatrix):

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import numbers
-import threading
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -90,19 +89,19 @@ class _Operand:
 class Umbra(_Operand):
     """A formal variable whose powers evaluate to a prescribed moment sequence.
 
-    ``moment_fn(k, prev)`` receives the exponent and the list of moments
-    ``0..k-1`` already computed, which keeps recursive sequences (normal
-    moments) cheap.  ``max_power`` is the largest exponent that can carry a
-    nonzero moment; ``None`` means unbounded.  Moment memoization is guarded
-    by a lock so umbrae can be shared across threads.  ``ident`` only fixes
-    the order of factors inside a monomial.
+    ``moment_fn(k)`` gives the k-th moment for ``1 <= k <= max_power``; the
+    0-th moment is 1 and every moment past ``max_power``, the largest
+    exponent that can carry a nonzero moment, is 0 (``None`` means
+    unbounded).  An umbra is an immutable value that holds no mutable state,
+    so it can be shared across threads.  ``ident`` only fixes the order of
+    factors inside a monomial.
     """
 
-    __slots__ = ("ident", "name", "max_power", "_moment_fn", "_cache", "_lock", "__weakref__")
+    __slots__ = ("ident", "name", "max_power", "_moment_fn", "__weakref__")
 
     def __init__(
         self,
-        moment_fn: Callable[[int, list], Scalar],
+        moment_fn: Callable[[int], Scalar],
         *,
         name: str | None = None,
         max_power: int | None = None,
@@ -111,19 +110,13 @@ class Umbra(_Operand):
         self.name = name or f"a{self.ident}"
         self.max_power = max_power
         self._moment_fn = moment_fn
-        self._cache: list = [1]
-        self._lock = threading.Lock()
 
     def moment(self, k: int) -> Scalar:
         if k < 0:
             raise ValueError("moment order must be nonnegative")
         if self.max_power is not None and k > self.max_power:
             return 0
-        with self._lock:
-            while len(self._cache) <= k:
-                j = len(self._cache)
-                self._cache.append(self._moment_fn(j, self._cache))
-            return self._cache[k]
+        return self._moment_fn(k) if k else 1
 
     def __repr__(self) -> str:
         return f"Umbra({self.name})"
@@ -149,7 +142,7 @@ def indeterminates(prefix: str, count: int) -> list[Indeterminate]:
 def singletons(count: int = 1, prefix: str = "chi") -> list[Umbra]:
     """Fresh mutually uncorrelated umbrae with moments 1, 1, 0, 0, ..."""
     return [
-        Umbra(lambda k, prev: 1 if k == 1 else 0, name=f"{prefix}{i + 1}", max_power=1)
+        Umbra(lambda k: 1 if k == 1 else 0, name=f"{prefix}{i + 1}", max_power=1)
         for i in range(count)
     ]
 
@@ -157,7 +150,7 @@ def singletons(count: int = 1, prefix: str = "chi") -> list[Umbra]:
 def deltas(count: int = 1, prefix: str = "dlt") -> list[Umbra]:
     """Fresh umbrae with moments 1, 0, 1, 0, 0, ... (only orders 0 and 2 live)."""
     return [
-        Umbra(lambda k, prev: 1 if k == 2 else 0, name=f"{prefix}{i + 1}", max_power=2)
+        Umbra(lambda k: 1 if k == 2 else 0, name=f"{prefix}{i + 1}", max_power=2)
         for i in range(count)
     ]
 
@@ -169,7 +162,8 @@ def gaussian(
     variance: Scalar | None = None,
     name: str | None = None,
 ) -> Umbra:
-    """Umbra carrying the raw moments of a normal distribution.
+    """Umbra carrying the raw moments of a normal distribution, from the
+    recurrence ``m_j = mean m_(j-1) + (j-1) variance m_(j-2)``.
 
     Pass ``variance`` directly to stay exact when the standard deviation is
     irrational but the variance is rational.
@@ -177,10 +171,11 @@ def gaussian(
     if variance is None:
         variance = 0 if std is None else std * std
 
-    def mom(k: int, prev: list) -> Scalar:
-        if k == 1:
-            return mean
-        return mean * prev[k - 1] + (k - 1) * variance * prev[k - 2]
+    def mom(k: int) -> Scalar:
+        prev, cur = 1, mean
+        for j in range(2, k + 1):
+            prev, cur = cur, mean * cur + (j - 1) * variance * prev
+        return cur
 
     return Umbra(mom, name=name or "g")
 
@@ -191,7 +186,7 @@ def falling(n: int, name: str | None = None) -> Umbra:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return Umbra(
-        lambda k, prev: falling_factorial(n, k),
+        lambda k: falling_factorial(n, k),
         name=name or f"fall{n}",
         max_power=n,
     )

@@ -26,7 +26,7 @@ import math
 import numbers
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from . import linalg
@@ -73,8 +73,8 @@ class WishartParams:
     """
 
     def __init__(self, n: int, p: int, sigma, m=None) -> None:
-        self.n = int(n)
-        self.p = int(p)
+        self.n = index(n)
+        self.p = index(p)
         self.sigma = linalg.freeze(sigma)
         self.m = linalg.freeze(m) if m is not None else None
         if any(isinstance(x, UmbralPolynomial) for row in self.sigma for x in row):

@@ -152,6 +152,14 @@ class TestCompute:
         assert "error" in result.stderr
         assert result.stdout == ""
 
+    def test_undecodable_file_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1,0\n0,\xff\n")
+        code = main(["compute", "--n", "3", "--p", "2", "--sigma", str(path), "--i", "1"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: cannot read")
+
     def test_invalid_params_exit_one(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n2,1\n")  # not positive definite

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from wishart_esf import linalg
 from wishart_esf.combinatorics import elementary_symmetric
 from wishart_esf.matrix import UmbralMatrix
 from wishart_esf.umbra import (
@@ -14,7 +15,7 @@ from wishart_esf.umbra import (
     singletons,
 )
 
-from conftest import rational_matrix
+from conftest import rational_full_spd, rational_matrix
 
 
 class TestBasicAlgebra:
@@ -84,9 +85,15 @@ class TestDeterminant:
         m = UmbralMatrix.from_rows([[1, 2], [2, 4]])
         assert m.det() == 0
 
-    def test_size_limit(self):
-        with pytest.raises(ValueError, match="determinant size limit"):
-            UmbralMatrix.identity(7).det()
+    def test_seven_by_seven_matches_elimination(self, rng):
+        sigma = rational_full_spd(rng, 7)
+        assert UmbralMatrix.from_rows(sigma).det().as_scalar() == linalg.det(sigma)
+
+    def test_seven_by_seven_singleton_product(self, rng):
+        sigma = rational_full_spd(rng, 7)
+        chi_mat = UmbralMatrix.diag(singletons(7, prefix="d7"))
+        product = chi_mat.matmul(UmbralMatrix.from_rows(sigma))
+        assert evaluate(product.det()).as_scalar() == linalg.det(sigma)
 
 
 class TestEigenbasisConjugation:

@@ -1,12 +1,16 @@
 import gc
 import math
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from random import Random
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wishart_esf import umbra
 from wishart_esf.combinatorics import elementary_symmetric, falling_factorial
 from wishart_esf.umbra import (
     Indeterminate,
@@ -117,7 +121,7 @@ class TestSpecialUmbrae:
         assert generating_coefficients(z, 4) == [1, 0, Fraction(1, 2), 0, Fraction(1, 8)]
 
     def test_unity_generating_coefficients(self):
-        u = Umbra(lambda k, prev: 1)
+        u = Umbra(lambda k: 1)
         assert generating_coefficients(u, 2) == [1, 1, Fraction(1, 2)]
 
     def test_falling_moments(self):
@@ -148,8 +152,55 @@ class TestSpecialUmbrae:
             mu**4 + 6 * mu**2 * s2 + 3 * s2**2,
         ]
 
+    def test_moment_makes_one_moment_call(self, monkeypatch):
+        calls = []
+
+        def counted(n, k):
+            calls.append(k)
+            return falling_factorial(n, k)
+
+        monkeypatch.setattr(umbra, "falling_factorial", counted)
+        assert falling(6).moment(5) == 720
+        assert calls == [5]
+
+    def test_gaussian_moments_match_the_memoized_recurrence(self):
+        def memoized(mean, variance, order):
+            moments = [1]
+            for k in range(1, order + 1):
+                if k == 1:
+                    moments.append(mean)
+                else:
+                    moments.append(mean * moments[k - 1] + (k - 1) * variance * moments[k - 2])
+            return moments
+
+        g = gaussian(0.3, variance=1.7)
+        got = [g.moment(k) for k in range(13)]
+        assert list(map(repr, got)) == list(map(repr, memoized(0.3, 1.7, 12)))
+        mean, variance = Fraction(-2, 3), Fraction(5, 7)
+        g = gaussian(mean, variance=variance)
+        assert [g.moment(k) for k in range(13)] == memoized(mean, variance, 12)
+
+    def test_umbrae_are_shared_across_threads(self):
+        g = gaussian(Fraction(1, 2), variance=Fraction(3, 4))
+        f = falling(4)
+        want = evaluate((g + f).pow(6))
+        start = threading.Barrier(4, timeout=60)
+
+        def work(_):
+            start.wait()
+            return evaluate((g + f).pow(6))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(work, range(4), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [want] * 4
+
     def test_gaussian_combination_of_unity_and_standard_normal(self):
-        u = Umbra(lambda k, prev: 1)
+        u = Umbra(lambda k: 1)
         z = gaussian(0, 1)
         combined = 3 * u + 2 * z
         assert similar(combined, gaussian(3, 2), 6)
@@ -212,7 +263,7 @@ class TestArithmetic:
         # one shared moment variable in every slot turns the esf law into
         # a_i (p)_i
         p = 4
-        a = Umbra(lambda k, prev: (1, 2, 5, 9, 21)[k], name="shared", max_power=4)
+        a = Umbra(lambda k: (1, 2, 5, 9, 21)[k], name="shared", max_power=4)
         chi = singletons(p)
         y = indeterminates("w", p)
         combo = UmbralPolynomial.zero()
@@ -250,7 +301,7 @@ MIXED_VARIABLES = (
     + deltas(1, prefix="dl")
     + [falling(3, name="fl")]
     + [gaussian(1, variance=2, name="gs")]
-    + [Umbra(lambda k, prev: 1, name="un1")]
+    + [Umbra(lambda k: 1, name="un1")]
     + indeterminates("z", 2)
 )
 

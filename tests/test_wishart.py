@@ -81,6 +81,19 @@ class TestParams:
         with pytest.raises(ValueError, match="symmetric"):
             WishartParams(3, 2, ((2.0, 1.0), (1.0 + 1e-9, 3.0)))
 
+    def test_dimensions_must_be_integers(self):
+        import numpy as np
+
+        with pytest.raises(TypeError):
+            WishartParams(3.9, 2, linalg.identity(2))
+        with pytest.raises(TypeError):
+            WishartParams("4", 2, linalg.identity(2))
+        with pytest.raises(TypeError):
+            WishartParams(3, 2.0, linalg.identity(2))
+        params = WishartParams(np.int64(3), np.int32(2), linalg.identity(2))
+        assert (params.n, params.p) == (3, 2) and type(params.n) is int
+        assert WishartParams.symbolic(3, 2).n == 3
+
     def test_mode_detection(self):
         assert WishartParams(3, 2, linalg.identity(2)).mode == "rational"
         assert WishartParams(3, 2, ((1.0, 0.0), (0.0, 1.0))).mode == "float"
