@@ -159,8 +159,8 @@ def _method_value(method: str, params, i: int, args) -> dict:
 
 
 def _evaluate(args, methods: list[str]) -> tuple[wishart.WishartParams, list[tuple[int, dict]]]:
-    """Every usage check, then each (order, method) pair evaluated once:
-    the model and, per order, each method's entry."""
+    """Every usage check and wick's size limit, then each (order, method)
+    pair evaluated once: the model and, per order, each method's entry."""
     for method in methods:
         if method not in METHODS:
             raise UsageError(f"unknown method {method!r}")
@@ -173,6 +173,12 @@ def _evaluate(args, methods: list[str]) -> tuple[wishart.WishartParams, list[tup
             raise UsageError("--seed must be nonnegative")
     orders = _parse_orders(args.i)
     params = _build_params(args)
+    # wick's size limit, at the orders guard_order passes on to the expansion
+    for i in (i for i in orders if "wick" in methods and 1 <= i <= params.p):
+        try:
+            oracles._check_wick_size(params, i)
+        except ValueError as exc:
+            raise NumericalError(f"wick failed at i={i}: {exc}") from exc
     return params, [(i, {m: _method_value(m, params, i, args) for m in methods}) for i in orders]
 
 

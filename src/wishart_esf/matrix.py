@@ -1,49 +1,50 @@
-"""Dense matrices over the umbral polynomial ring: products, powers,
-transpose, trace, diagonal builders, and a Berkowitz determinant at any size.
-"""
+"""Dense matrices over the umbral polynomial ring, on :mod:`linalg`'s row
+routines: products, powers, transpose, trace, diagonal builders, and a
+Berkowitz determinant at any size."""
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
-from .linalg import charpoly
+from . import linalg
 from .umbra import UmbralPolynomial
 
 __all__ = ["UmbralMatrix"]
 
 
 class UmbralMatrix:
-    """Rectangular matrix with umbral-polynomial entries, stored row-major.
+    """Rectangular matrix with umbral-polynomial entries, stored as row tuples.
 
     Entries are coerced on construction; instances are immutable values and
     all operations return fresh matrices.
     """
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, entries: Sequence) -> None:
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        flat = tuple(UmbralPolynomial.coerce(e) for e in entries)
+        flat = [UmbralPolynomial.coerce(e) for e in entries]
         if len(flat) != rows * cols:
             raise ValueError("entry count does not match dimensions")
         self.rows = rows
         self.cols = cols
-        self._entries = flat
+        self._data = tuple(tuple(flat[r * cols : (r + 1) * cols]) for r in range(rows))
 
     # -- builders -----------------------------------------------------------
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "UmbralMatrix":
         rows = len(data)
-        cols = len(data[0])
+        cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
         return cls(rows, cols, [e for r in data for e in r])
 
     @classmethod
     def identity(cls, k: int) -> "UmbralMatrix":
-        return cls(k, k, [1 if r == c else 0 for r in range(k) for c in range(k)])
+        return cls.from_rows(linalg.identity(k))
 
     @classmethod
     def diag(cls, values: Sequence) -> "UmbralMatrix":
@@ -53,7 +54,7 @@ class UmbralMatrix:
     # -- access ---------------------------------------------------------------
 
     def get(self, r: int, c: int) -> UmbralPolynomial:
-        return self._entries[r * self.cols + c]
+        return self._data[r][c]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -64,14 +65,9 @@ class UmbralMatrix:
     def matmul(self, other: "UmbralMatrix") -> "UmbralMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        for r in range(self.rows):
-            for c in range(other.cols):
-                acc = UmbralPolynomial.zero()
-                for t in range(self.cols):
-                    acc = acc + self.get(r, t).mul(other.get(t, c))
-                out.append(acc)
-        return UmbralMatrix(self.rows, other.cols, out)
+        cols = list(zip(*other._data))
+        rows = [[sum(map(mul, r, c), UmbralPolynomial.zero()) for c in cols] for r in self._data]
+        return UmbralMatrix.from_rows(rows)
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -87,16 +83,12 @@ class UmbralMatrix:
         return result
 
     def transpose(self) -> "UmbralMatrix":
-        out = [self.get(r, c) for c in range(self.cols) for r in range(self.rows)]
-        return UmbralMatrix(self.cols, self.rows, out)
+        return UmbralMatrix.from_rows(list(zip(*self._data)))
 
     def trace(self) -> UmbralPolynomial:
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        acc = UmbralPolynomial.zero()
-        for r in range(self.rows):
-            acc = acc + self.get(r, r)
-        return acc
+        return linalg.trace(self._data)
 
     def det(self) -> UmbralPolynomial:
         """Determinant at any size: the top coefficient of Berkowitz's
@@ -105,19 +97,14 @@ class UmbralMatrix:
         over-range umbra powers, so the result is the permutation sum's."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        rows = [self._entries[r * self.cols : (r + 1) * self.cols] for r in range(self.rows)]
-        return charpoly(rows)[-1]
+        return linalg.charpoly(self._data)[-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UmbralMatrix):
             return NotImplemented
-        return self.shape == other.shape and self._entries == other._entries
+        return self.shape == other.shape and self._data == other._data
 
     def __str__(self) -> str:
-        lines = []
-        for r in range(self.rows):
-            lines.append("[" + ", ".join(str(self.get(r, c)) for c in range(self.cols)) + "]")
-        return "\n".join(lines)
+        return "\n".join("[" + ", ".join(map(str, row)) + "]" for row in self._data)
 
     __repr__ = __str__
-

@@ -17,6 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from . import linalg
@@ -50,6 +51,11 @@ class Estimate:
 
 
 # -- exact pairing expansion ---------------------------------------------------
+
+
+def _check_wick_size(params: WishartParams, i: int) -> None:
+    if params.p * params.n * i > WICK_DEGREE_LIMIT:
+        raise ValueError("wick oracle limit")
 
 
 def _partial_pairing_expectation(labels: tuple, mean, cov) -> Fraction:
@@ -102,8 +108,7 @@ def wick_expected_esf(params: WishartParams, i: int):
 
     Cost grows factorially; refuses instances with ``p * n * i > 12``.
     """
-    if params.p * params.n * i > WICK_DEGREE_LIMIT:
-        raise ValueError("wick oracle limit")
+    _check_wick_size(params, i)
     mean, cov = _entry_mean_cov(params)
     total = 0
     for subset in itertools.combinations(range(params.p), i):
@@ -126,10 +131,10 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
     weights: the quadratic form ``sum y_a^2 x_j^2 X[a,j]^2`` raised to the
     i-th power and paired out term by term.  The value is a ``Fraction`` in
     rational mode and a float in float mode."""
+    i = index(i)
     if i < 0:
         raise ValueError("order must be nonnegative")
-    if params.p * params.n * i > WICK_DEGREE_LIMIT:
-        raise ValueError("wick oracle limit")
+    _check_wick_size(params, i)
     mean, cov = _entry_mean_cov(params)
     cells = [(a, j) for a in range(params.p) for j in range(params.n)]
     total = 0
@@ -218,6 +223,7 @@ def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> E
     """
     import numpy as np
 
+    i = index(i)
     if i < 0:
         raise ValueError("order must be nonnegative")
     if i == 0:

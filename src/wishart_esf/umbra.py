@@ -140,11 +140,9 @@ def indeterminates(prefix: str, count: int) -> list[Indeterminate]:
 
 
 def singletons(count: int = 1, prefix: str = "chi") -> list[Umbra]:
-    """Fresh mutually uncorrelated umbrae with moments 1, 1, 0, 0, ..."""
-    return [
-        Umbra(lambda k: 1 if k == 1 else 0, name=f"{prefix}{i + 1}", max_power=1)
-        for i in range(count)
-    ]
+    """Fresh mutually uncorrelated umbrae with moments 1, 1, 0, 0, ...: the
+    counting umbra ``falling(1)`` of Di Nardo & Senato (Eur. J. Combin. 27, 2006)."""
+    return [falling(1, name=f"{prefix}{i + 1}") for i in range(count)]
 
 
 def deltas(count: int = 1, prefix: str = "dlt") -> list[Umbra]:

@@ -466,6 +466,27 @@ class TestCompare:
         assert code == EXIT_USAGE and out == "" and "error" in err
         assert calls == []
 
+    def test_wick_size_limit_is_checked_before_any_method_runs(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        route = wishart.expected_esf_closed_form
+
+        def counted(params, i):
+            calls.append(i)
+            return route(params, i)
+
+        monkeypatch.setattr(wishart, "expected_esf_closed_form", counted)
+        sigma, out = tmp_path / "I3.csv", tmp_path / "report.json"
+        sigma.write_text("1,0,0\n0,1,0\n0,0,1\n")
+        code = main(
+            ["compare", "--methods", "closed-form,umbral,wick", "--n", "4", "--p", "3"]
+            + ["--sigma", str(sigma), "--i", "0..3", "--out", str(out)]
+        )
+        stdout, err = capsys.readouterr()
+        # wick refuses i = 2 (p * n * i = 24 > 12), so no order runs any method
+        assert (code, stdout, err) == (EXIT_NUMERICAL, "", "error: wick failed at i=2: wick oracle limit\n")
+        assert not out.exists()
+        assert calls == []
+
     def test_statistical_failure_exit_code(self, identity2, capsys):
         # 2 samples cannot match the exact value within 4 stderr every time;
         # scan a few seeds so at least one fails statistically

@@ -158,6 +158,14 @@ class TestWickTraceMoment:
             assert type(wick_trace_moment(floating, [0, 0], [0, 0, 0], i)) is float
         assert wick_trace_moment(rational, [1, 1], [1, 1, 1], 1) == 6
 
+    def test_orders_must_be_integers(self):
+        params = WishartParams(3, 2, linalg.identity(2))
+        # p * n * 3 is past the size limit, which used to be the message
+        for order in (3.0, 2.5):
+            with pytest.raises(TypeError):
+                wick_trace_moment(params, [1, 1], [1, 1, 1], order)
+        assert wick_trace_moment(params, [1, 1], [1, 1, 1], np.int64(1)) == 6
+
 
 class TestMonteCarlo:
     def test_reproducibility(self):
@@ -189,6 +197,14 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert est == Estimate(value=0.0, stderr=0.0, samples=10**6, seed=5)
         assert peak < 1_000_000
+
+    def test_orders_must_be_integers(self):
+        params = WishartParams(3, 2, linalg.identity(2))
+        # above p such an order used to give a zero estimate
+        for order in (2.5, 3.0, 2.0):
+            with pytest.raises(TypeError):
+                mc_expected_esf(params, order, 100, 1)
+        assert mc_expected_esf(params, np.int64(2), 100, 1) == mc_expected_esf(params, 2, 100, 1)
 
     def test_tiny_sample_reports_positive_stderr(self):
         params = WishartParams(3, 2, linalg.identity(2))

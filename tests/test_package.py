@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,19 @@ def test_no_definition_only_tests_use():
     assert sorted(unnamed - CALLED_FROM_OUTSIDE) == []
     # an entry whose reason is gone leaves the list
     assert sorted(CALLED_FROM_OUTSIDE - unnamed) == []
+
+
+@pytest.mark.parametrize("entry", ["wishart_esf", "wishart_esf.cli"])
+def test_benchmark_tracer_installs_after_importing_one_entry(entry):
+    # perfbench/tracing.py reads each module it wraps from sys.modules, so
+    # importing the package or its command line alone must load them all
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    code = f"import {entry}, tracing\ntracer = tracing.Tracer()\ntracer.install()\ntracer.uninstall()"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

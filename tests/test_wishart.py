@@ -470,6 +470,17 @@ class TestUmbralRoute:
         assert expected_esf_umbral(params, 0) == 1
         assert expected_esf_umbral(params, 3) == 0
 
+    @pytest.mark.parametrize("route", [expected_esf_umbral, expected_esf_closed_form, wick_expected_esf])
+    def test_orders_must_be_integers(self, route):
+        import numpy as np
+
+        params = WishartParams(3, 2, linalg.identity(2))
+        # above p such an order used to read as zero
+        for order in (2.5, 3.0, Fraction(3), 2.0):
+            with pytest.raises(TypeError):
+                route(params, order)
+        assert route(params, np.int64(2)) == route(params, 2) == 6
+
     def test_umbrae_of_a_finished_computation_are_freed(self, monkeypatch):
         falling_refs = []
 
