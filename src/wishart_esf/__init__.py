@@ -6,32 +6,14 @@ pruning every monomial that does not contribute; exact closed forms and
 pairing/Monte Carlo oracles cross-check it.
 """
 
-from .combinatorics import (
-    complete_bell,
-    elementary_symmetric,
-    elementary_symmetric_via_bell,
-    elementary_symmetric_via_cycle_classes,
-    enumerate_partitions,
-    falling_factorial,
-)
+from .combinatorics import complete_bell, elementary_symmetric, falling_factorial
 from .matrix import UmbralMatrix
 from .oracles import mc_expected_esf, wick_expected_esf, wick_trace_moment
-from .umbra import (
-    UmbralPolynomial,
-    deltas,
-    evaluate,
-    falling,
-    gaussian,
-    indeterminates,
-    similar,
-    singletons,
-)
+from .umbra import UmbralPolynomial, evaluate, falling, indeterminates, singletons
 from .wishart import (
     WishartParams,
     expected_esf_closed_form,
     expected_esf_umbral,
-    noncentral_chisq_cumulant,
-    singleton_cross_term_identity,
     trace_cumulant,
     trace_moment,
 )
@@ -41,27 +23,19 @@ __version__ = "0.1.0"
 __all__ = [
     "complete_bell",
     "elementary_symmetric",
-    "elementary_symmetric_via_bell",
-    "elementary_symmetric_via_cycle_classes",
-    "enumerate_partitions",
     "falling_factorial",
     "UmbralMatrix",
     "mc_expected_esf",
     "wick_expected_esf",
     "wick_trace_moment",
     "UmbralPolynomial",
-    "deltas",
     "evaluate",
     "falling",
-    "gaussian",
     "indeterminates",
-    "similar",
     "singletons",
     "WishartParams",
     "expected_esf_closed_form",
     "expected_esf_umbral",
-    "noncentral_chisq_cumulant",
-    "singleton_cross_term_identity",
     "trace_cumulant",
     "trace_moment",
 ]

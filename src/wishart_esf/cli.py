@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from typing import Sequence
 
-from . import oracles, selftest, wishart
+from . import oracles, wishart
 
 __all__ = [
     "main",
@@ -118,21 +118,26 @@ def _build_params(args) -> wishart.WishartParams:
         raise UsageError(str(exc)) from exc
 
 
-def _parse_orders(text: str) -> list[int]:
+def _parse_orders(text: str, p: int) -> range:
+    """The orders of ``--i``: one order, or an inclusive range ``lo..hi``.
+
+    Orders above ``p`` are 0, so a range may end at ``p + 1`` at most; the
+    bounds are checked before the range is used, so a huge ``hi`` costs
+    nothing.  An invalid ``p`` is left to the model's own check."""
     text = text.strip()
+    lo, dots, hi = text.partition("..")
     try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            orders = list(range(int(lo), int(hi) + 1))
-        else:
-            orders = [int(text)]
+        lo = int(lo)
+        hi = int(hi) if dots else lo
     except ValueError as exc:
         raise UsageError(f"bad order {text!r}") from exc
-    if not orders:
+    if hi < lo:
         raise UsageError(f"bad order range {text!r}")
-    if orders[0] < 0:
+    if lo < 0:
         raise UsageError(f"bad order {text!r}: orders are nonnegative")
-    return orders
+    if dots and p >= 1 and hi > p + 1:
+        raise UsageError(f"bad order range {text!r}: a range ends at p + 1 = {p + 1} or below")
+    return range(lo, hi + 1)
 
 
 def _method_value(method: str, params, i: int, args) -> dict:
@@ -171,7 +176,7 @@ def _evaluate(args, methods: list[str]) -> tuple[wishart.WishartParams, list[tup
             raise UsageError("--samples must be at least 2")
         if args.seed < 0:
             raise UsageError("--seed must be nonnegative")
-    orders = _parse_orders(args.i)
+    orders = _parse_orders(args.i, args.p)
     params = _build_params(args)
     # wick's size limit, at the orders guard_order passes on to the expansion
     for i in (i for i in orders if "wick" in methods and 1 <= i <= params.p):
@@ -318,6 +323,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # imported here, so that the other commands do not load the battery
+    from . import selftest
+
     results = selftest.run_selftest(args.filter)
     if not results:
         raise UsageError(f"no self-test matches filter {args.filter!r}")
@@ -355,7 +363,7 @@ def _add_model_arguments(sub) -> None:
     sub.add_argument("--p", type=int, required=True, help="dimension")
     sub.add_argument("--sigma", required=True, help="covariance CSV path")
     sub.add_argument("--m", help="mean matrix CSV path (omitted: zero mean)")
-    sub.add_argument("--i", required=True, help="order, or inclusive range 'a..b'")
+    sub.add_argument("--i", required=True, help="order, or inclusive range 'a..b' with b <= p + 1")
     sub.add_argument("--mode", choices=["rational", "float"], help="force the scalar tower")
     sub.add_argument("--samples", type=int, default=100_000, help="Monte Carlo sample count")
     sub.add_argument("--seed", type=int, default=20200429, help="Monte Carlo seed")

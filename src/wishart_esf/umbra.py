@@ -43,11 +43,8 @@ __all__ = [
     "UmbralPolynomial",
     "indeterminates",
     "singletons",
-    "deltas",
-    "gaussian",
     "falling",
     "evaluate",
-    "similar",
 ]
 
 Scalar = Union[int, Fraction, float]
@@ -143,39 +140,6 @@ def singletons(count: int = 1, prefix: str = "chi") -> list[Umbra]:
     """Fresh mutually uncorrelated umbrae with moments 1, 1, 0, 0, ...: the
     counting umbra ``falling(1)`` of Di Nardo & Senato (Eur. J. Combin. 27, 2006)."""
     return [falling(1, name=f"{prefix}{i + 1}") for i in range(count)]
-
-
-def deltas(count: int = 1, prefix: str = "dlt") -> list[Umbra]:
-    """Fresh umbrae with moments 1, 0, 1, 0, 0, ... (only orders 0 and 2 live)."""
-    return [
-        Umbra(lambda k: 1 if k == 2 else 0, name=f"{prefix}{i + 1}", max_power=2)
-        for i in range(count)
-    ]
-
-
-def gaussian(
-    mean: Scalar = 0,
-    std: Scalar | None = None,
-    *,
-    variance: Scalar | None = None,
-    name: str | None = None,
-) -> Umbra:
-    """Umbra carrying the raw moments of a normal distribution, from the
-    recurrence ``m_j = mean m_(j-1) + (j-1) variance m_(j-2)``.
-
-    Pass ``variance`` directly to stay exact when the standard deviation is
-    irrational but the variance is rational.
-    """
-    if variance is None:
-        variance = 0 if std is None else std * std
-
-    def mom(k: int) -> Scalar:
-        prev, cur = 1, mean
-        for j in range(2, k + 1):
-            prev, cur = cur, mean * cur + (j - 1) * variance * prev
-        return cur
-
-    return Umbra(mom, name=name or "g")
 
 
 def falling(n: int, name: str | None = None) -> Umbra:
@@ -495,19 +459,3 @@ def evaluate(x) -> UmbralPolynomial:
                 out[key] = s
     return UmbralPolynomial(out)
 
-
-def similar(a, b, order: int) -> bool:
-    """Moment-wise similarity up to the given truncation order: the k-th
-    powers of both sides evaluate identically for every ``k <= order``."""
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    pa = UmbralPolynomial.coerce(a)
-    pb = UmbralPolynomial.coerce(b)
-    power_a = UmbralPolynomial.one()
-    power_b = UmbralPolynomial.one()
-    for _ in range(order):
-        power_a = power_a.mul(pa)
-        power_b = power_b.mul(pb)
-        if evaluate(power_a) != evaluate(power_b):
-            return False
-    return True

@@ -23,27 +23,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from fractions import Fraction
 from functools import cached_property
 from operator import index, mul
-from typing import Sequence
 
 from . import linalg
-from .combinatorics import (
-    complete_bell,
-    elementary_symmetric,
-    falling_factorial,
-)
+from .combinatorics import complete_bell, falling_factorial
 from .matrix import UmbralMatrix
-from .umbra import (
-    Indeterminate,
-    UmbralPolynomial,
-    evaluate,
-    falling,
-    indeterminates,
-    singletons,
-)
+from .umbra import Indeterminate, UmbralPolynomial, evaluate, falling, indeterminates
 
 __all__ = [
     "WishartParams",
@@ -51,8 +38,6 @@ __all__ = [
     "trace_moment",
     "expected_esf_umbral",
     "expected_esf_closed_form",
-    "noncentral_chisq_cumulant",
-    "singleton_cross_term_identity",
 ]
 
 SYMMETRY_TOL = 1e-12
@@ -342,56 +327,3 @@ def expected_esf_closed_form(params: WishartParams, i: int):
     esf = _pencil_esf(a, b, i)
     total = sum(falling_factorial(params.n - k, i - k) * c for k, c in enumerate(esf))
     return Fraction(total, s**i)
-
-
-# -- scalar quadratic form cumulants ------------------------------------------
-
-
-def noncentral_chisq_cumulant(sigma, m: Sequence, k: int):
-    """k-th cumulant of ``|X|^2`` for ``X ~ N(m, sigma)``:
-    ``(k-1)! 2^{k-1} [tr(sigma^k) + k m^T sigma^{k-1} m]``.  Numpy integers
-    are read as Python ints, whose products do not wrap at 64 bits."""
-    if k < 1:
-        raise ValueError("cumulant order must be positive")
-    sigma = [[int(x) if isinstance(x, numbers.Integral) else x for x in row] for row in sigma]
-    m = [int(x) if isinstance(x, numbers.Integral) else x for x in m]
-    if not linalg.has_shape(sigma, len(m), len(m)):
-        raise ValueError("need a p x p covariance and a mean of length p")
-    v = m  # sigma^(k-1) m
-    for _ in range(k - 1):
-        v = [sum(map(mul, row, v)) for row in sigma]
-    quad = sum(map(mul, m, v))
-    trace_k = linalg.power_sums([sigma], k)[-1][0]
-    return math.factorial(k - 1) * 2 ** (k - 1) * (trace_k + k * quad)
-
-
-# -- the cross-term identity behind the scalar-covariance expansion ----------
-
-
-def singleton_cross_term_identity(p: int, n: int, i: int, j: int, m: Sequence):
-    """Kernel evaluation of the double singleton cross-term sum against its
-    counting formula ``C(n-j, i-j) C(p-j, i-j) e_j(m^2)``.
-
-    Returns the pair ``(kernel value, counting value)``; the two must agree.
-    """
-    if not (0 <= j <= i <= min(p, n)):
-        raise ValueError("need 0 <= j <= i <= min(p, n)")
-    if len(m) != p:
-        raise ValueError("m must have length p")
-    chi = [c._lift() for c in singletons(p, prefix="cy")]
-    chit = [c._lift() for c in singletons(n, prefix="cx")]
-    total = UmbralPolynomial.zero()
-    for fixed in itertools.combinations(range(p), j):
-        anchor = UmbralPolynomial.one()
-        for kk in fixed:
-            anchor = anchor.mul(chi[kk]).mul(chit[kk]).scale(m[kk] * m[kk])
-        rows = elementary_symmetric([c for t, c in enumerate(chi) if t not in fixed], i - j)
-        cols = elementary_symmetric([c for s, c in enumerate(chit) if s not in fixed], i - j)
-        total = total + anchor.mul(rows).mul(cols)
-    kernel_value = evaluate(total).as_scalar()
-    counting_value = (
-        math.comb(n - j, i - j)
-        * math.comb(p - j, i - j)
-        * elementary_symmetric([v * v for v in m], j)
-    )
-    return kernel_value, counting_value

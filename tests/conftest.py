@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 
 import pytest
 
 from wishart_esf import linalg, oracles
 from wishart_esf.cli import format_scalar
-from wishart_esf.umbra import UmbralPolynomial
+from wishart_esf.combinatorics import complete_bell, elementary_symmetric
+from wishart_esf.umbra import Umbra, UmbralPolynomial, evaluate, singletons
 
 # a float covariance symmetric only within the tolerance WishartParams allows:
 # its (1, 0) entry is two ulps above its (0, 1) entry
@@ -167,6 +171,228 @@ def substitute_all(poly: UmbralPolynomial, variables, values) -> UmbralPolynomia
     return poly
 
 
+# -- side identities: partitions, Bell weights and special umbrae ----------------
+
+
+@dataclass(frozen=True)
+class Partition:
+    """An integer partition in multiplicity form: ``((part, multiplicity), ...)``.
+
+    Parts are strictly increasing and every multiplicity is positive, so the
+    representation is canonical and hashable.  The empty tuple is the single
+    partition of 0.
+    """
+
+    parts: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        previous = 0
+        for part, mult in self.parts:
+            if part <= previous or mult < 1:
+                raise ValueError(f"malformed partition {self.parts!r}")
+            previous = part
+
+    @classmethod
+    def from_parts(cls, parts) -> "Partition":
+        counts: dict[int, int] = {}
+        for part in parts:
+            if part < 1:
+                raise ValueError("parts must be positive integers")
+            counts[part] = counts.get(part, 0) + 1
+        return cls(tuple(sorted(counts.items())))
+
+    @property
+    def weight(self) -> int:
+        return sum(part * mult for part, mult in self.parts)
+
+    @property
+    def length(self) -> int:
+        """Number of parts counted with multiplicity."""
+        return sum(mult for _, mult in self.parts)
+
+
+def enumerate_partitions(i: int) -> list[Partition]:
+    """All partitions of ``i``, each exactly once, lexicographic in the
+    ascending part list; ``i = 0`` yields the single empty partition."""
+    if i < 0:
+        raise ValueError("i must be nonnegative")
+    found: list[Partition] = []
+
+    def grow(remaining: int, minimum: int, acc: list[int]) -> None:
+        if remaining == 0:
+            found.append(Partition.from_parts(acc))
+            return
+        for part in range(minimum, remaining + 1):
+            acc.append(part)
+            grow(remaining - part, part, acc)
+            acc.pop()
+
+    grow(i, 1, [])
+    return found
+
+
+def bell_coefficient(partition: Partition) -> int:
+    """Weight of a partition's term in the complete Bell polynomial:
+    ``i! / (r_1! r_2! ... (1!)^{r_1} (2!)^{r_2} ...)``."""
+    den = 1
+    for part, mult in partition.parts:
+        den *= math.factorial(mult) * math.factorial(part) ** mult
+    return math.factorial(partition.weight) // den
+
+
+def cycle_class_size(partition: Partition) -> int:
+    """Number of permutations of ``weight`` symbols whose cycle lengths form
+    this partition: ``i! / (1^{r_1} r_1! 2^{r_2} r_2! ...)``."""
+    den = 1
+    for part, mult in partition.parts:
+        den *= part**mult * math.factorial(mult)
+    return math.factorial(partition.weight) // den
+
+
+def power_sum(y, k: int):
+    """``s_k = sum_j y_j^k`` for ``k >= 1``."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    return sum(v**k for v in y)
+
+
+def divide_by_factorial(value, i: int):
+    """``value / i!``, exact (a ``Fraction``) for int and ``Fraction`` values."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value, math.factorial(i))
+    return value / math.factorial(i)
+
+
+def elementary_symmetric_from_power_sums(sums, i: int):
+    """Elementary symmetric value from the power sums ``[s_1, ..., s_i]``
+    via the Bell-polynomial identity."""
+    if i == 0:
+        return 1
+    if len(sums) < i:
+        raise ValueError("need power sums up to order i")
+    args = [(-1) ** (k - 1) * math.factorial(k - 1) * sums[k - 1] for k in range(1, i + 1)]
+    return divide_by_factorial(complete_bell(args), i)
+
+
+def elementary_symmetric_via_bell(y, i: int):
+    """Same value as ``elementary_symmetric``, computed from power sums."""
+    if i == 0:
+        return 1
+    return elementary_symmetric_from_power_sums([power_sum(y, k) for k in range(1, i + 1)], i)
+
+
+def diagonal_joint_moment(y, partition: Partition):
+    """Product of power sums ``prod_k s_k(y)^{r_k}`` over the partition: the
+    joint moment of ``diag(y)`` for any permutation of that cycle class."""
+    term = 1
+    for part, mult in partition.parts:
+        term = term * power_sum(y, part) ** mult
+    return term
+
+
+def elementary_symmetric_via_cycle_classes(y, i: int):
+    """Same value as ``elementary_symmetric``, as a signed partition sum
+    weighted by cycle-class sizes."""
+    if i == 0:
+        return 1
+    total = 0
+    for partition in enumerate_partitions(i):
+        sign = (-1) ** (i - partition.length)
+        total = total + sign * cycle_class_size(partition) * diagonal_joint_moment(y, partition)
+    return divide_by_factorial(total, i)
+
+
+def deltas(count: int = 1, prefix: str = "dlt") -> list[Umbra]:
+    """Fresh umbrae with moments 1, 0, 1, 0, 0, ... (only orders 0 and 2 live)."""
+    return [
+        Umbra(lambda k: 1 if k == 2 else 0, name=f"{prefix}{i + 1}", max_power=2)
+        for i in range(count)
+    ]
+
+
+def gaussian(mean=0, std=None, *, variance=None, name: str | None = None) -> Umbra:
+    """Umbra carrying the raw moments of a normal distribution, from the
+    recurrence ``m_j = mean m_(j-1) + (j-1) variance m_(j-2)``.
+
+    Pass ``variance`` directly to stay exact when the standard deviation is
+    irrational but the variance is rational.
+    """
+    if variance is None:
+        variance = 0 if std is None else std * std
+
+    def mom(k: int):
+        prev, cur = 1, mean
+        for j in range(2, k + 1):
+            prev, cur = cur, mean * cur + (j - 1) * variance * prev
+        return cur
+
+    return Umbra(mom, name=name or "g")
+
+
+def similar(a, b, order: int) -> bool:
+    """Moment-wise similarity up to the given truncation order: the k-th
+    powers of both sides evaluate identically for every ``k <= order``."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    pa = UmbralPolynomial.coerce(a)
+    pb = UmbralPolynomial.coerce(b)
+    power_a = power_b = UmbralPolynomial.one()
+    for _ in range(order):
+        power_a = power_a.mul(pa)
+        power_b = power_b.mul(pb)
+        if evaluate(power_a) != evaluate(power_b):
+            return False
+    return True
+
+
+def noncentral_chisq_cumulant(sigma, m, k: int):
+    """k-th cumulant of ``|X|^2`` for ``X ~ N(m, sigma)``:
+    ``(k-1)! 2^{k-1} [tr(sigma^k) + k m^T sigma^{k-1} m]``, the reference for
+    ``trace_cumulant``.  Numpy integers are read as Python ints, whose
+    products do not wrap at 64 bits."""
+    if k < 1:
+        raise ValueError("cumulant order must be positive")
+    sigma = [[int(x) if isinstance(x, numbers.Integral) else x for x in row] for row in sigma]
+    m = [int(x) if isinstance(x, numbers.Integral) else x for x in m]
+    if not linalg.has_shape(sigma, len(m), len(m)):
+        raise ValueError("need a p x p covariance and a mean of length p")
+    v = m  # sigma^(k-1) m
+    for _ in range(k - 1):
+        v = [sum(map(mul, row, v)) for row in sigma]
+    quad = sum(map(mul, m, v))
+    trace_k = linalg.power_sums([sigma], k)[-1][0]
+    return math.factorial(k - 1) * 2 ** (k - 1) * (trace_k + k * quad)
+
+
+def singleton_cross_term_identity(p: int, n: int, i: int, j: int, m):
+    """Kernel evaluation of the double singleton cross-term sum against its
+    counting formula ``C(n-j, i-j) C(p-j, i-j) e_j(m^2)``.
+
+    Returns the pair ``(kernel value, counting value)``; the two must agree.
+    """
+    if not (0 <= j <= i <= min(p, n)):
+        raise ValueError("need 0 <= j <= i <= min(p, n)")
+    if len(m) != p:
+        raise ValueError("m must have length p")
+    chi = [c._lift() for c in singletons(p, prefix="cy")]
+    chit = [c._lift() for c in singletons(n, prefix="cx")]
+    total = UmbralPolynomial.zero()
+    for fixed in itertools.combinations(range(p), j):
+        anchor = UmbralPolynomial.one()
+        for kk in fixed:
+            anchor = anchor.mul(chi[kk]).mul(chit[kk]).scale(m[kk] * m[kk])
+        rows = elementary_symmetric([c for t, c in enumerate(chi) if t not in fixed], i - j)
+        cols = elementary_symmetric([c for s, c in enumerate(chit) if s not in fixed], i - j)
+        total = total + anchor.mul(rows).mul(cols)
+    kernel_value = evaluate(total).as_scalar()
+    counting_value = (
+        math.comb(n - j, i - j)
+        * math.comb(p - j, i - j)
+        * elementary_symmetric([v * v for v in m], j)
+    )
+    return kernel_value, counting_value
+
+
 # -- oracles and I/O used as tools ------------------------------------------------
 
 
@@ -236,30 +462,59 @@ def allocating_mc_esf(params, i: int, samples: int, seed: int) -> oracles.Estima
     return oracles._summarize(np.concatenate(chunks), samples, seed)
 
 
+def bareiss_det(a) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968): each step divides exactly by the previous
+    pivot, so every entry stays an integer minor of ``a``."""
+    a = [list(row) for row in a]
+    size = len(a)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((r for r in range(k + 1, size) if a[r][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for r in range(k + 1, size):
+            for c in range(k + 1, size):
+                a[r][c] = (a[r][c] * a[k][k] - a[r][k] * a[k][c]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
 def esf_by_column_subsets(n: int, sigma, m, i: int) -> Fraction:
     """Exact ``E[e_i(W)]`` without the reduction both routes share:
 
-        sum over column sets T, |T| <= i, of
+        sum over column sets T, |T| <= min(i, n), of
         (-1)^(i-|T|) C(n-|T|, i-|T|) e_i(|T| Sigma + M_T M_T^T).
 
     By Cauchy-Binet ``e_i(X X^T)`` is a sum of squared i x i minors; the
     expected square of a minor with independent columns ``N(m_c, Sigma)`` is
     a mixed discriminant of the ``Sigma + m_c m_c^T`` (Bapat, LAA 126, 1989),
-    which polarization over T turns into the sum above.  No t-pencil, no
-    a_k, no kernel, no charpoly: principal minors of rational matrices only.
-    Entries are read exactly, floats included; ``m`` may be ``None``."""
+    which polarization over T turns into the sum above.  One scale ``s``
+    clears every denominator, and ``e_i`` of each integer matrix
+    ``s (|T| Sigma + M_T M_T^T)`` is its sum of principal minors, each by
+    :func:`bareiss_det`: no t-pencil, no a_k, no kernel, no ``linalg`` and no
+    ``Fraction`` until the one division by ``s^i``.  Entries are read
+    exactly, floats included; ``m`` may be ``None``."""
     sigma = [[Fraction(x) for x in row] for row in sigma]
-    m = [[Fraction(x) for x in row] for row in m] if m is not None else [[0] * n for _ in sigma]
-    total = Fraction(0)
-    for size in range(i + 1):
+    m = [[Fraction(x) for x in row] for row in m] if m is not None else [[Fraction(0)] * n for _ in sigma]
+    d = math.lcm(*(x.denominator for row in m for x in row))
+    s = math.lcm(d * d, *(x.denominator for row in sigma for x in row))
+    a = [[int(x * s) for x in row] for row in sigma]
+    mi = [[int(x * d) for x in row] for row in m]
+    total = 0
+    for size in range(min(i, n) + 1):
         weight = (-1) ** (i - size) * math.comb(n - size, i - size)
         for cols in itertools.combinations(range(n), size):
-            a = [
-                [size * s + sum(r1[j] * r2[j] for j in cols) for s, r2 in zip(row, m)]
-                for row, r1 in zip(sigma, m)
+            b = [
+                [size * x + s // (d * d) * sum(r1[j] * r2[j] for j in cols) for x, r2 in zip(row, mi)]
+                for row, r1 in zip(a, mi)
             ]
-            total += weight * linalg.principal_minor_sum(a, i)
-    return total
+            for rows in itertools.combinations(range(len(b)), i):
+                total += weight * bareiss_det([[b[r][c] for c in rows] for r in rows])
+    return Fraction(total, s**i)
 
 
 def integer_polynomial(values: list[int]) -> list[int]:

@@ -18,37 +18,33 @@ from random import Random
 import numpy as np
 
 from wishart_esf import linalg
-from wishart_esf.combinatorics import (
-    bell_coefficient,
-    complete_bell,
-    cycle_class_size,
-    elementary_symmetric,
-    elementary_symmetric_via_bell,
-    elementary_symmetric_via_cycle_classes,
-    enumerate_partitions,
-    falling_factorial,
-)
+from wishart_esf.combinatorics import complete_bell, elementary_symmetric, falling_factorial
 from wishart_esf.oracles import mc_expected_esf, wick_expected_esf, wick_trace_moment
-from wishart_esf.umbra import UmbralPolynomial, evaluate, gaussian
+from wishart_esf.umbra import UmbralPolynomial, evaluate
 from wishart_esf.wishart import (
     WishartParams,
     expected_esf_closed_form,
     expected_esf_umbral,
-    noncentral_chisq_cumulant,
-    singleton_cross_term_identity,
     trace_cumulant,
     trace_moment,
 )
 
 from conftest import (
+    bell_coefficient,
+    cycle_class_size,
+    elementary_symmetric_via_bell,
+    elementary_symmetric_via_cycle_classes,
+    enumerate_partitions,
     float_matrix,
     float_spd,
+    gaussian,
     k_statistics,
     rational_diag_spd,
     rational_full_spd,
     rational_matrix,
     rational_vector,
     rect_diag_matrix,
+    singleton_cross_term_identity,
     substitute_all,
 )
 
@@ -247,7 +243,16 @@ def test_c09_quadratic_form_cumulants():
             tuple(theta[r] if r == c else Fraction(0) for c in range(p)) for r in range(p)
         )
         mvec = rational_vector(rng, p, span=2, max_den=2)
-        kappas = [noncentral_chisq_cumulant(sigma, mvec, k) for k in range(1, 5)]
+        # the law trace_cumulant applies, on the one column left by the column
+        # weights (1, 0, ..., 0): WishartParams needs n >= p, so n = p, with
+        # unit row weights and mvec as the first column of the mean
+        params = WishartParams(p, p, sigma, [[v] + [0] * (p - 1) for v in mvec])
+        weights = [1] * p + [1] + [0] * (p - 1)
+        variables = params.y_vars + params.x_vars
+        kappas = [
+            substitute_all(trace_cumulant(params, k), variables, weights).as_scalar()
+            for k in range(1, 5)
+        ]
 
         # (i) kernel moments of the quadratic-form construction, Bell-mapped
         parts = [gaussian(mu, variance=theta[l], name=f"acc{p}{l}") for l, mu in enumerate(mvec)]
@@ -272,8 +277,9 @@ def test_c09_quadratic_form_cumulants():
             assert abs(est - float(kappas[k - 1])) <= 4 * stderr, (p, k, est, kappas[k - 1])
     _report(
         "c09",
-        "quadratic-form cumulants match kernel Bell maps exactly and Monte Carlo "
-        "k-statistics within 4 standard errors (p = 1..3, 1e6 samples)",
+        "trace_cumulant on one column matches Gaussian-umbra moments through the "
+        "Bell map exactly and Monte Carlo k-statistics within 4 standard errors "
+        "(p = 1..3, 1e6 samples)",
     )
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wishart_esf import oracles, wishart
@@ -143,6 +143,29 @@ class TestCompute:
         out, err = capsys.readouterr()
         assert code == EXIT_USAGE
         assert out == "" and "bad order" in err
+
+    @pytest.mark.parametrize("top", ["4", "10000000000000000000", "1000000000000000000"])
+    @pytest.mark.parametrize("command", ["compute", "compare", "table"])
+    def test_range_past_p_plus_one_is_refused_before_any_file_is_read(
+        self, tmp_path, capsys, top, command
+    ):
+        # orders above p are 0, so a range ends at p + 1; a longer one is a
+        # usage error naming p, before a list is built or the covariance read
+        methods = ["--methods", "closed-form,umbral"] if command != "compute" else []
+        absent = str(tmp_path / "absent.csv")
+        code = main([command, *methods, "--n", "3", "--p", "2", "--sigma", absent, f"--i=0..{top}"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: bad order range '0..{top}': a range ends at p + 1 = 3 or below\n"
+
+    def test_range_may_end_at_p_plus_one_and_one_order_at_any_size(self, identity2, capsys):
+        model = ["compute", "--n", "3", "--p", "2", "--sigma", identity2, "--no-timing"]
+        assert main(model + ["--i", "0..3"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["value"] for r in payload["results"]] == ["1", "6", "6", "0"]
+        assert main(model + ["--i", "10000000000000000000"]) == EXIT_OK
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert result["i"] == 10**19 and result["value"] == "0"
 
     def test_missing_file_exits_one(self, tmp_path):
         result = run_cli(
@@ -595,7 +618,7 @@ class TestSelftest:
         assert "FAIL" not in result.stdout
 
     def test_filter(self):
-        result = run_cli(["selftest", "--filter", "cross-term"])
+        result = run_cli(["selftest", "--filter", "kernel-esf"])
         assert result.returncode == EXIT_OK
         lines = [l for l in result.stdout.splitlines() if l.startswith("PASS")]
         assert len(lines) == 1
@@ -605,10 +628,16 @@ class TestSelftest:
         assert result.returncode == EXIT_USAGE
 
     def test_json_output(self):
-        result = run_cli(["selftest", "--json", "--filter", "partition"])
+        result = run_cli(["selftest", "--json", "--filter", "routes"])
         assert result.returncode == EXIT_OK
         payload = json.loads(result.stdout)
         assert payload["passed"] is True
+        assert [r["name"] for r in payload["results"]] == ["routes-central", "routes-noncentral"]
+
+    def test_other_commands_do_not_load_the_battery(self):
+        script = "import sys, wishart_esf.cli\nassert 'wishart_esf.selftest' not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:
@@ -735,3 +764,73 @@ class TestJsonOutputProperty:
         assert code in (EXIT_OK, EXIT_STATISTICAL), argv
         report = json.loads(out, parse_constant=_reject_constant)
         assert report["results"]
+
+
+# consistent models, (n, p, covariance file, mean file or None)
+_MODELS = [(3, 2, "I2", None), (2, 2, "F2", None), (3, 2, "F2", "M23"), (4, 3, "I3", "M34")]
+
+
+def _mostly(draw, valid, invalid: list):
+    """``valid`` four times in five draws, else one of ``invalid``."""
+    return draw(st.sampled_from([valid] * 4 * len(invalid) + invalid))
+
+
+@st.composite
+def cli_argvs(draw, files: dict):
+    """A ``compute``, ``compare`` or ``table`` argv over the CSV files in
+    ``files``, each field valid four times in five, with small sample counts."""
+    n, p, sigma, mean = draw(st.sampled_from(_MODELS))
+    command = draw(st.sampled_from(["compute", "compare", "table"]))
+    methods = st.sampled_from(["closed-form", "umbral", "wick", "mc"])
+    if command == "compute":
+        argv = [command, "--method", draw(methods)]
+    else:
+        names = draw(st.lists(methods, min_size=2, max_size=3, unique=True))
+        argv = [command, "--methods", ",".join(_mostly(draw, names, [names[:1], names + ["bogus"]]))]
+    argv += ["--n", str(_mostly(draw, n, [-1, p - 1, 10**19]))]
+    argv += ["--p", str(_mostly(draw, p, [-1, 0, p + 1]))]
+    argv += ["--sigma", files[_mostly(draw, sigma, ["I3" if p == 2 else "I2", "bad", "absent"])]]
+    mean = _mostly(draw, mean, ["M34" if p == 2 else "M23", "bad"])
+    if mean is not None:
+        argv += ["--m", files[mean]]
+    lo, hi = sorted(draw(st.lists(st.integers(min_value=0, max_value=p + 1), min_size=2, max_size=2)))
+    order = draw(st.sampled_from([str(lo), f"{lo}..{hi}"]))
+    bad_orders = [f"{hi}..{lo - 1}", f"-1..{hi}", f"0..{p + 2}", "0..10000000000000000000", "1..", "x"]
+    argv += [f"--i={_mostly(draw, order, bad_orders)}"]
+    argv += ["--samples", str(_mostly(draw, draw(st.integers(min_value=2, max_value=64)), [0, 1]))]
+    argv += ["--seed", str(_mostly(draw, draw(st.integers(min_value=0, max_value=3)), [-1]))]
+    mode = draw(st.sampled_from([None, "rational", "float"]))
+    if mode is not None:
+        argv += ["--mode", mode]
+    if draw(st.booleans()):
+        argv.append("--no-timing")
+    return argv
+
+
+class TestArgvProperty:
+    # the CSV files are written once and only read, so examples may share them
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_argv_exits_with_a_code_and_valid_json(self, tmp_path, data):
+        files = {
+            "I2": "1,0\n0,1\n",
+            "F2": "2.0,0.5\n0.5,1.5\n",
+            "I3": "1,0,0\n0,1,0\n0,0,1\n",
+            "M23": "1,0,1/2\n0,-2,0\n",
+            "M34": "1,0,0,0\n0,1/3,0,0\n0,0,0,2\n",
+            "bad": "1,2\n3\n",
+        }
+        paths = {"absent": str(tmp_path / "absent.csv")}
+        for name, text in files.items():
+            path = tmp_path / f"{name}.csv"
+            if not path.exists():
+                path.write_text(text)
+            paths[name] = str(path)
+        argv = data.draw(cli_argvs(paths))
+        try:
+            code, out = _run_in_process(argv)
+        except SystemExit:
+            return
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL, EXIT_STATISTICAL), argv
+        if code == EXIT_OK:
+            assert json.loads(out, parse_constant=_reject_constant)["results"], argv

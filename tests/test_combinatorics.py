@@ -6,23 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wishart_esf.combinatorics import (
+from wishart_esf.combinatorics import complete_bell, elementary_symmetric, falling_factorial
+from wishart_esf.umbra import UmbralPolynomial, indeterminates
+
+from conftest import (
     Partition,
     bell_coefficient,
-    complete_bell,
     cycle_class_size,
     diagonal_joint_moment,
-    elementary_symmetric,
     elementary_symmetric_from_power_sums,
     elementary_symmetric_via_bell,
     elementary_symmetric_via_cycle_classes,
     enumerate_partitions,
-    falling_factorial,
+    perfect_matchings,
     power_sum,
+    substitute_all,
 )
-from wishart_esf.umbra import UmbralPolynomial, indeterminates
-
-from conftest import perfect_matchings, substitute_all
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
@@ -115,7 +114,7 @@ class TestCompleteBell:
     @given(st.lists(st.just(0.0) | st.floats(min_value=-3, max_value=3), max_size=7))
     @settings(max_examples=150, deadline=None)
     def test_matches_full_partition_sum_on_floats(self, values):
-        # powers are built by repeated products, not ``**``: last bits may differ
+        # the recurrence groups the products differently: last bits may differ
         expected = full_partition_sum(values)
         scale = full_partition_sum([abs(v) for v in values])
         assert complete_bell(values) == pytest.approx(expected, rel=0, abs=1e-12 * max(1.0, scale))
@@ -155,10 +154,10 @@ class TestCompleteBell:
         monkeypatch.setattr(UmbralPolynomial, "mul", counting)
         c = [UmbralPolynomial.coerce(s) for s in indeterminates("c", 4)]
         zero = UmbralPolynomial.zero()
-        # c_1^2 .. c_1^5 only
+        # B_m c_1 for m = 1..4 only; B_0 = 1 takes a scaling, not a product
         complete_bell([c[0]] + [zero] * 4)
         assert len(products) == 4
-        # c_1^2, c_1^3, c_1^4, c_1^2 * c_2, c_1 * c_3, c_2^2: c_1^2 is built once
+        # B_(m-k) c_(k+1) with m - k >= 1, for m = 1, 2, 3: 1 + 2 + 3 products
         products.clear()
         complete_bell(c)
         assert len(products) == 6

@@ -6,16 +6,9 @@ import pytest
 from wishart_esf import linalg
 from wishart_esf.combinatorics import elementary_symmetric
 from wishart_esf.matrix import UmbralMatrix
-from wishart_esf.umbra import (
-    UmbralPolynomial,
-    deltas,
-    evaluate,
-    indeterminates,
-    similar,
-    singletons,
-)
+from wishart_esf.umbra import UmbralPolynomial, evaluate, indeterminates, singletons
 
-from conftest import rational_full_spd, rational_matrix
+from conftest import deltas, rational_full_spd, rational_matrix, similar
 
 
 class TestBasicAlgebra:

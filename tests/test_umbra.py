@@ -16,16 +16,13 @@ from wishart_esf.umbra import (
     Indeterminate,
     Umbra,
     UmbralPolynomial,
-    deltas,
     evaluate,
     falling,
-    gaussian,
     indeterminates,
-    similar,
     singletons,
 )
 
-from conftest import reference_mul, substitute, unpruned_pow
+from conftest import deltas, gaussian, reference_mul, similar, substitute, unpruned_pow
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 

@@ -10,21 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wishart_esf import linalg, umbra, wishart
-from wishart_esf.combinatorics import (
-    bell_coefficient,
-    complete_bell,
-    elementary_symmetric,
-    enumerate_partitions,
-    falling_factorial,
-)
+from wishart_esf.combinatorics import complete_bell, elementary_symmetric, falling_factorial
 from wishart_esf.oracles import wick_expected_esf, wick_trace_moment
-from wishart_esf.umbra import UmbralPolynomial, deltas, evaluate, falling, gaussian
+from wishart_esf.umbra import UmbralPolynomial, evaluate, falling
 from wishart_esf.wishart import (
     WishartParams,
     expected_esf_closed_form,
     expected_esf_umbral,
-    noncentral_chisq_cumulant,
-    singleton_cross_term_identity,
     trace_cumulant,
     trace_moment,
 )
@@ -32,16 +24,22 @@ from wishart_esf.wishart import (
 from conftest import (
     NEARLY_SYMMETRIC_MEAN,
     NEARLY_SYMMETRIC_SIGMA,
+    bell_coefficient,
+    deltas,
+    enumerate_partitions,
     esf_by_column_subsets,
     float_matrix,
     float_spd,
+    gaussian,
     integer_polynomial,
+    noncentral_chisq_cumulant,
     rational_diag_spd,
     rational_full_spd,
     rational_matrix,
     rational_vector,
     rect_diag_matrix,
     reference_mul,
+    singleton_cross_term_identity,
     substitute_all,
     unpruned_pow,
 )
@@ -985,12 +983,14 @@ class TestColumnSubsetOracle:
                         assert esf_by_column_subsets(n, sigma, m, i) == wick_expected_esf(params, i)
 
     def test_routes_match_on_whole_profiles_by_mean_rank(self):
-        # dense covariance; means of every rank 0..p; exact and float entries,
-        # the float ones small dyadic multiples so that A B has rank exactly r
+        # dense covariance; means of every rank 0..p up to p = 5, and of ranks
+        # 0, 1 and p at p = 6 and 7, where the oracle's minors are up to 7 x 7;
+        # exact and float entries, the float ones small dyadic multiples so
+        # that A B has rank exactly r
         rng = Random(7)
-        for p in range(1, 6):
+        for p in range(1, 8):
             n = p + 1
-            for rank in range(p + 1):
+            for rank in range(p + 1) if p <= 5 else (0, 1, p):
                 for floats in (False, True):
                     if floats:
                         sigma = float_spd(rng, p)
