@@ -174,6 +174,8 @@ def _evaluate(args, methods: list[str]) -> tuple[wishart.WishartParams, list[tup
     if "mc" in methods:
         if args.samples < 2:
             raise UsageError("--samples must be at least 2")
+        if args.samples > sys.maxsize:
+            raise UsageError(f"--samples must be at most {sys.maxsize}")
         if args.seed < 0:
             raise UsageError("--seed must be nonnegative")
     orders = _parse_orders(args.i, args.p)

@@ -9,13 +9,19 @@ contribute their mean, matched pairs their covariance
 ``cov(X[a,j], X[b,k]) = sigma[a][b]`` if ``j == k`` else 0.  This is exact
 rational arithmetic for rational parameters, since no square root of the
 covariance is ever formed.
+
+The Monte Carlo estimator runs in constant memory: its batch buffers share a
+fixed byte budget, and each sample's value is folded into exact sums of the
+values and of their squares, so no per-sample array is kept.  The estimate is
+the correctly rounded mean of the sampled values and does not depend on how
+the samples are batched.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from operator import index
 from typing import Sequence
@@ -32,22 +38,47 @@ __all__ = [
 ]
 
 WICK_DEGREE_LIMIT = 12
-_MC_BATCH = 4096  # rows per batch; sizes the buffers every batch reuses, not part of the output
+_MC_BUDGET = 1 << 20  # bytes of the five batch buffers; sizes the batches, not part of the output
+_FOLD = 4096  # per-sample values folded into the exact sums at once: at least this many, at most twice
+_EXACT_RUN = 1 << 16  # values whose binned pieces, each below 2^37, float64 sums hold exactly
 
 
-@dataclass(frozen=True)
 class Estimate:
     """A Monte Carlo result: value, standard error (0 for exact), sample
-    count, and the seed that reproduces it bit for bit."""
+    count, and the seed that reproduces it bit for bit.  Immutable, and equal
+    to another ``Estimate`` with the same four fields."""
 
-    value: float
-    stderr: float
-    samples: int
-    seed: int
+    __slots__ = ("value", "stderr", "samples", "seed")
 
-    def __post_init__(self) -> None:
-        if self.stderr < 0:
+    def __init__(self, value: float, stderr: float, samples: int, seed: int) -> None:
+        if stderr < 0:
             raise ValueError("standard error cannot be negative")
+        for name, field in zip(self.__slots__, (value, stderr, samples, seed)):
+            object.__setattr__(self, name, field)
+
+    def _fields(self) -> tuple:
+        return (self.value, self.stderr, self.samples, self.seed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Estimate")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an Estimate")
+
+    def __reduce__(self):
+        return (Estimate, self._fields())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={field!r}" for name, field in zip(self.__slots__, self._fields()))
+        return f"Estimate({fields})"
 
 
 # -- exact pairing expansion ---------------------------------------------------
@@ -156,11 +187,20 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
 # -- seeded Monte Carlo ---------------------------------------------------------
 
 
+def _batch_rows(p: int, n: int) -> int:
+    """Rows per batch: the normals ``z`` and the samples ``x`` (p x n), the
+    Gram matrix and the two recurrence buffers (p x p), all float64, fit in
+    ``_MC_BUDGET`` bytes together."""
+    return max(1, _MC_BUDGET // (8 * (2 * p * n + 3 * p * p)))
+
+
 def _sample_batches(params: WishartParams, samples: int, seed: int):
     """Yield batches of sampled ``X`` of shape (b, p, n).
 
     Single stream, drawn in batches of any size: the draw sequence depends
     only on (seed, samples, p, n), which is the package's reproducibility contract.
+    Batches have ``_batch_rows(p, n)`` rows, the last one fewer, and their
+    sizes come from a generator, so no plan grows with ``samples``.
     Each batch is a view of one buffer that the next batch overwrites, so a
     caller consumes it before asking for the next.  One worker thread, the
     only one that touches the generator, refills the normals buffer with the
@@ -170,6 +210,9 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor
 
+    rows = min(_batch_rows(params.p, params.n), samples)
+    if rows < 1:
+        return
     rng = np.random.default_rng(seed)
     low = np.array(linalg.cholesky_lower(params.sigma), dtype=float)
     mean = (
@@ -177,19 +220,20 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
         if params.m is None
         else np.array(linalg.to_float(params.m), dtype=float)
     )
-    shape = (min(_MC_BATCH, samples), params.p, params.n)
+    shape = (rows, params.p, params.n)
     z, x = np.empty(shape), np.empty(shape)
-    sizes = [min(_MC_BATCH, samples - start) for start in range(0, samples, _MC_BATCH)]
-    if not sizes:
-        return
+    sizes = (min(rows, samples - start) for start in range(0, samples, rows))
+    b = next(sizes)
     with ThreadPoolExecutor(max_workers=1) as worker:
-        draw = worker.submit(rng.standard_normal, out=z[: sizes[0]])
-        for b, ahead in zip(sizes, sizes[1:] + [0]):
+        draw = worker.submit(rng.standard_normal, out=z[:b])
+        while b:
             draw.result()
             np.matmul(low, z[:b], out=x[:b])
+            ahead = next(sizes, 0)
             if ahead:  # z is free again: draw the next batch while the caller reduces x
                 draw = worker.submit(rng.standard_normal, out=z[:ahead])
             yield np.add(mean, x[:b], out=x[:b])
+            b = ahead
 
 
 def _batched_esf(w, i: int, work):
@@ -204,7 +248,7 @@ def _batched_esf(w, i: int, work):
     # from M_1 = A, which is A times I bit for bit wherever A is finite
     np.copyto(am, w)
     c = -np.trace(am, axis1=1, axis2=2)
-    # an overflow here leaves a non-finite value, which _summarize rejects
+    # an overflow here leaves a non-finite value, which the exact sums reject
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(2, i + 1):
             am.reshape(b, p * p)[:, :: p + 1] += c[:, None]  # the diagonal, in place
@@ -218,14 +262,21 @@ def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> E
 
     Draws matrix-normal samples through a Cholesky factor, computes the
     elementary symmetric function per sample from a batched characteristic
-    polynomial (no eigensolver), and reports mean and standard error.  Identical
-    (seed, samples, params) reproduce identical output bits.
+    polynomial (no eigensolver), and folds each batch's values into exact
+    sums.  The value is their correctly rounded mean, the standard error is
+    within an ulp of the exact spread, and neither depends on how the samples
+    are batched.  Identical (seed, samples, params) reproduce identical
+    output bits.  Memory does not grow with ``samples``, ``p`` or ``n``: the
+    batch buffers share ``_MC_BUDGET`` bytes, and the values buffer holds
+    whole batches, about ``_FOLD`` values.
     """
     import numpy as np
 
     i = index(i)
     if i < 0:
         raise ValueError("order must be nonnegative")
+    if samples > sys.maxsize:
+        raise ValueError(f"at most {sys.maxsize} samples")
     if i == 0:
         return Estimate(value=1.0, stderr=0.0, samples=samples, seed=seed)
     if samples < 2:
@@ -233,29 +284,123 @@ def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> E
     if i > params.p:
         return Estimate(value=0.0, stderr=0.0, samples=samples, seed=seed)
     # every batch runs in buffers made once per call
-    values = np.empty(samples)
-    shape = (min(_MC_BATCH, samples), params.p, params.p)
+    rows = min(_batch_rows(params.p, params.n), samples)
+    shape = (rows, params.p, params.p)
     gram, am, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    start = 0
+    values = np.empty(rows * -(-_FOLD // rows))
+    moments = _ExactMoments()
+    filled = 0
     for x in _sample_batches(params, samples, seed):
         b = len(x)
         w = np.matmul(x, np.transpose(x, (0, 2, 1)), out=gram[:b])
-        values[start : start + b] = _batched_esf(w, i, (am[:b], tmp[:b]))
-        start += b
-    return _summarize(values, samples, seed)
+        values[filled : filled + b] = _batched_esf(w, i, (am[:b], tmp[:b]))
+        filled += b
+        if filled + rows > len(values):
+            moments.add(values[:filled])
+            filled = 0
+    moments.add(values[:filled])
+    return moments.estimate(seed)
 
 
-def _summarize(values, samples: int, seed: int) -> Estimate:
+class _ExactMoments:
+    """Exact sums of float64 values and of their squares, whatever their
+    number, order or split into chunks.
+
+    ``np.frexp`` writes each value as ``t * 2**(e - 53)`` with ``t`` an integer,
+    ``|t| < 2**53``.  ``t`` is cut into 18-bit pieces, so that ``t`` and ``t**2``
+    are sums of integer pieces below ``2**37`` in magnitude, and each piece is
+    summed per exponent by ``np.bincount``: float64 sums of up to
+    ``_EXACT_RUN`` such integers are exact.  After every ``_EXACT_RUN`` values
+    the binned sums move into two Python ints, the sum in units of
+    ``2**-1127`` and the sum of squares in units of ``2**-2254``.  No step
+    rounds, overflows or underflows; a non-finite value raises.
+    """
+
+    def __init__(self) -> None:
+        import numpy as np
+
+        self.count = 0
+        self._pending = 0
+        # per biased exponent e + 1074 (1..2098 for nonzero finite values): the
+        # pieces of the sum of t, weights 2^18 and 1, then of t^2, 2^72 .. 1
+        self._bins = np.zeros((7, 2099))
+        self._sum = 0
+        self._sum_sq = 0
+
+    def add(self, values) -> None:
+        # a fold's temporaries are a few arrays of its chunk's size
+        for start in range(0, len(values), 2 * _FOLD):
+            chunk = values[start : start + 2 * _FOLD]
+            if self._pending + len(chunk) > _EXACT_RUN:
+                self._flush()
+            self._fold(chunk)
+            self._pending += len(chunk)
+            self.count += len(chunk)
+
+    def _fold(self, values) -> None:
+        import numpy as np
+
+        m, e = np.frexp(values)
+        bins = e.astype(np.intp)
+        low = int(bins.min())
+        bins -= low
+        sums = self._bins[:, low + 1074 :]
+        t = np.multiply(m, 2.0**53, out=m)
+        # a non-finite value leaves NaN or inf in its bins, which _flush rejects
+        with np.errstate(invalid="ignore"):
+            for k, piece in enumerate(_pieces(t)):
+                total = np.bincount(bins, piece)
+                sums[k, : len(total)] += total
+
+    def _flush(self) -> None:
+        import numpy as np
+
+        if not np.isfinite(self._bins).all():
+            raise OverflowError("the Monte Carlo estimate exceeds the float range")
+        for e in np.flatnonzero(self._bins.any(axis=0)).tolist():
+            hi, lo, *square = (int(v) for v in self._bins[:, e].tolist())
+            self._sum += ((hi << 18) + lo) << e
+            self._sum_sq += sum(v << 18 * k for k, v in enumerate(reversed(square))) << 2 * e
+        self._bins[:] = 0
+        self._pending = 0
+
+    def estimate(self, seed: int) -> Estimate:
+        """The correctly rounded mean of the values, and the standard error
+        ``sqrt(sum((x - mean)^2) / (N (N - 1)))`` within an ulp."""
+        self._flush()
+        n = self.count
+        mean = self._sum / (n << 1127)
+        # N^2 (N - 1) stderr^2 = N sum(x^2) - sum(x)^2, exactly
+        spread = n * self._sum_sq - self._sum**2
+        stderr = _sqrt_ratio(spread, (n * n * (n - 1)) << 2254)
+        return Estimate(value=mean, stderr=stderr, samples=n, seed=seed)
+
+
+def _pieces(t):
+    """For integer-valued float64 ``t``, ``|t| < 2^53``, with ``t = a 2^36 + b 2^18 + c``
+    and ``0 <= b, c < 2^18``: the pieces ``hi = a 2^18 + b`` and ``c`` of ``t``, then
+    ``a^2, 2ab, 2ac + b^2, 2bc, c^2`` of ``t^2``, one at a time; each is an integer
+    below ``2^37`` in magnitude, and ``t`` is overwritten."""
     import numpy as np
 
-    mean = float(np.mean(values))
-    if not math.isfinite(mean):
-        raise OverflowError("the Monte Carlo estimate exceeds the float range")
-    # spread of the values divided by 2^shift, a power of two near their
-    # largest magnitude, so that squaring can neither overflow nor underflow;
-    # the scaling is exact, so the bits match the unscaled spread wherever
-    # that neither overflows nor underflows
-    shift = math.frexp(float(np.max(np.abs(values))))[1]
-    spread = np.std(np.ldexp(values, -shift), ddof=1) / math.sqrt(len(values))
-    stderr = math.ldexp(float(spread), shift)
-    return Estimate(value=mean, stderr=stderr, samples=samples, seed=seed)
+    hi = np.floor(t * 2.0**-18)
+    c = np.subtract(t, hi * 2.0**18, out=t)
+    yield hi
+    yield c
+    a = np.floor(hi * 2.0**-18)
+    b = np.subtract(hi, a * 2.0**18, out=hi)
+    yield a * a
+    a += a
+    yield a * b
+    yield a * c + b * b
+    b += b
+    yield b * c
+    yield c * c
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """``sqrt(num / den)`` within an ulp, for integers ``num >= 0`` and
+    ``den > 0``: the integer root carries at least 56 bits into the one
+    rounding."""
+    shift = max(0, 114 - num.bit_length() + den.bit_length()) // 2
+    return math.isqrt((num << 2 * shift) // den) / (1 << shift)

@@ -434,14 +434,15 @@ def mc_trace_moment(params, i: int, y, x, samples: int, seed: int) -> oracles.Es
         q = np.einsum("aj,baj->b", weights, xs**2)
         with np.errstate(over="ignore"):
             chunks.append(q**i)
-    return oracles._summarize(np.concatenate(chunks), samples, seed)
+    return _exact_summary(np.concatenate(chunks), seed)
 
 
 def allocating_mc_esf(params, i: int, samples: int, seed: int) -> oracles.Estimate:
     """Reference for the bits of ``mc_expected_esf`` at ``1 <= i <= p``: the
     same stream and recurrence with fresh arrays for every 4,096-row batch, the
     Faddeev-LeVerrier recurrence started from ``M_0 = 0`` (its first step
-    multiplies by the identity), and the per-sample values concatenated."""
+    multiplies by the identity), and the per-sample values concatenated and
+    then summed exactly in one go."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -459,7 +460,14 @@ def allocating_mc_esf(params, i: int, samples: int, seed: int) -> oracles.Estima
                 am = np.matmul(w, am + c[:, None, None] * eye)
                 c = -np.trace(am, axis1=1, axis2=2) / k
         chunks.append(-c if i % 2 else c)
-    return oracles._summarize(np.concatenate(chunks), samples, seed)
+    return _exact_summary(np.concatenate(chunks), seed)
+
+
+def _exact_summary(values, seed: int) -> oracles.Estimate:
+    """The estimator's summary of all the values at once: their exact sums."""
+    moments = oracles._ExactMoments()
+    moments.add(values)
+    return moments.estimate(seed)
 
 
 def bareiss_det(a) -> int:

@@ -207,6 +207,17 @@ class TestCompute:
         assert result.returncode == EXIT_USAGE
         assert result.stdout == ""
 
+    def test_sample_count_beyond_sys_maxsize_is_usage_error(self, identity2):
+        # numpy cannot allocate it; the count is refused before any method runs
+        for command in (["compute", "--method", "mc"], ["table", "--methods", "closed-form,mc"]):
+            result = run_cli(
+                command + ["--samples", "100000000000000000000"]
+                + ["--n", "3", "--p", "2", "--sigma", identity2, "--i", "1"]
+            )
+            assert result.returncode == EXIT_USAGE
+            assert result.stdout == ""
+            assert "--samples must be at most" in result.stderr
+
     def test_negative_seed_is_usage_error(self, identity2):
         result = run_cli(
             ["compute", "--method", "mc", "--seed", "-1"]

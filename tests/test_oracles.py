@@ -1,5 +1,8 @@
+import copy
 import itertools
 import math
+import pickle
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -10,9 +13,10 @@ import pytest
 from wishart_esf import linalg, oracles
 from wishart_esf.oracles import (
     Estimate,
+    _batch_rows,
     _batched_esf,
+    _ExactMoments,
     _partial_pairing_expectation,
-    _summarize,
     mc_expected_esf,
     wick_expected_esf,
     wick_trace_moment,
@@ -229,20 +233,22 @@ class TestMonteCarlo:
         assert est == est2
 
     def test_batch_size_does_not_change_results(self, monkeypatch):
-        # batches of 1000 and 4096 rows split 9000 samples differently; both
-        # estimators must give the same bits
+        # budgets of 64 KiB and 1 MiB give batches of 160 and 2,570 rows here,
+        # which split 9000 samples differently; both estimators must give the
+        # same bits
         sigma = ((Fraction(2), Fraction(1, 2), 0), (Fraction(1, 2), 1, 0), (0, 0, Fraction(3)))
         m = ((1, 0, 0, Fraction(1, 2)), (0, 2, 0, 0), (0, 0, 1, 0))
         params = WishartParams(4, 3, sigma, m)
 
-        def run(batch):
-            monkeypatch.setattr(oracles, "_MC_BATCH", batch)
+        def run(budget):
+            monkeypatch.setattr(oracles, "_MC_BUDGET", budget)
+            assert _batch_rows(3, 4) == budget // 408
             return (
                 mc_expected_esf(params, 3, samples=9000, seed=21),
                 mc_trace_moment(params, 2, [1, 0.5, 2], [1, 1, 0.5, 2], samples=9000, seed=22),
             )
 
-        assert run(1000) == run(4096)
+        assert run(1 << 16) == run(1 << 20)
 
     def test_batched_charpoly_matches_subset_determinants(self):
         # one 5000-row batch at p=6: e_i from the batched characteristic
@@ -294,16 +300,76 @@ class TestMonteCarlo:
         assert 0 < est.stderr < est.value
         assert abs(est.value - 6e-180) <= 4 * est.stderr
 
-    def test_stderr_bits_match_the_unscaled_spread(self):
+    @staticmethod
+    def _summaries():
+        # 70,001 values of either sign at scales where their squares, or the
+        # squares of their deviations, leave the float range: more than one
+        # run of exact float sums, added in two uneven parts.  Yields the
+        # estimate with the exact sums of the values and of their squares,
+        # in units of 2^-1074 and 2^-2148
         rng = np.random.default_rng(17)
-        for scale in (1e-3, 1.0, 3.0, 1e40):
-            values = scale * rng.gamma(2.0, size=4097)
-            est = _summarize(values, len(values), 0)
-            assert est.stderr == float(np.std(values, ddof=1) / math.sqrt(len(values)))
+        for scale in (1e-300, 1e-3, 1.0, 1e40, 1e150):
+            values = scale * (rng.gamma(2.0, size=70_001) - 0.5)
+            moments = _ExactMoments()
+            moments.add(values[:5])
+            moments.add(values[5:])
+            units = [num * (2**1074 // den) for num, den in map(float.as_integer_ratio, values.tolist())]
+            yield moments.estimate(3), sum(units), sum(u * u for u in units)
+
+    def test_mean_is_the_correctly_rounded_exact_mean(self):
+        for est, total, _ in self._summaries():
+            assert (est.samples, est.seed) == (70_001, 3)
+            assert est.value == float(Fraction(total, 2**1074) / 70_001)
+
+    def test_stderr_is_within_an_ulp_of_the_exact_spread(self):
+        n = 70_001
+        for est, total, squares in self._summaries():
+            # stderr^2 = sum((x - mean)^2) / (N (N - 1)), exactly
+            square = Fraction(n * squares - total * total, n * n * (n - 1) * 2**2148)
+            ulp = Fraction(math.ulp(est.stderr))
+            below, above = Fraction(est.stderr) - ulp, Fraction(est.stderr) + ulp
+            assert 0 < below and below * below <= square <= above * above, est
+
+    def test_widest_pieces_stay_exact(self):
+        # with t = 2^53 - 1 the pieces 2bc and 2ac + b^2 are near 2^37, so the
+        # binned float sums would round past 2^16 values
+        value = 3 * (1 - 2.0**-53)
+        moments = _ExactMoments()
+        moments.add(np.full(3 * 2**16 + 1, value))
+        assert moments.estimate(0) == Estimate(value=value, stderr=0.0, samples=3 * 2**16 + 1, seed=0)
+
+    def test_sums_do_not_depend_on_the_split(self):
+        values = np.random.default_rng(5).standard_normal(9000) * np.logspace(-200, 200, 9000)
+        whole = _ExactMoments()
+        whole.add(values)
+        parts = _ExactMoments()
+        for start in range(0, len(values), 641):
+            parts.add(values[start : start + 641][::-1])
+        assert whole.estimate(1) == parts.estimate(1)
 
     def test_negative_stderr_rejected(self):
         with pytest.raises(ValueError):
             Estimate(value=1.0, stderr=-1.0, samples=3, seed=0)
+
+    def test_estimate_is_an_immutable_value(self):
+        est = Estimate(value=1.5, stderr=0.25, samples=3, seed=7)
+        assert est == Estimate(1.5, 0.25, 3, 7) and hash(est) == hash(Estimate(1.5, 0.25, 3, 7))
+        assert est != Estimate(value=1.5, stderr=0.25, samples=3, seed=8)
+        assert est != (1.5, 0.25, 3, 7)
+        assert repr(est) == "Estimate(value=1.5, stderr=0.25, samples=3, seed=7)"
+        assert pickle.loads(pickle.dumps(est)) == est == copy.copy(est)
+        with pytest.raises(AttributeError):
+            est.value = 2.0
+        with pytest.raises(AttributeError):
+            del est.seed
+        assert (est.value, est.stderr, est.samples, est.seed) == (1.5, 0.25, 3, 7)
+
+    def test_sample_count_beyond_sys_maxsize_rejected(self):
+        # such a count is refused before any sampling, at every order
+        params = WishartParams(3, 2, linalg.identity(2))
+        for i in (0, 1, 3):
+            with pytest.raises(ValueError, match="at most"):
+                mc_expected_esf(params, i, samples=sys.maxsize + 1, seed=1)
 
 
 class _RecordingGenerator:
@@ -314,7 +380,7 @@ class _RecordingGenerator:
         self.rng = rng
         self.fail_at = fail_at
         self.threads = []
-        self.started = [threading.Event() for _ in range(8)]
+        self.started = [threading.Event() for _ in range(16)]
 
     def standard_normal(self, *args, **kwargs):
         k = len(self.threads)
@@ -342,14 +408,15 @@ def _record_draws(monkeypatch, fail_at=None):
 
 
 class TestMonteCarloBuffers:
-    """The batches run in buffers made once per call, with the same bits as
-    fresh arrays per batch, one product fewer per batch and no copy of the
-    per-sample values; the next batch is drawn on one worker thread while
-    the caller reduces the current one."""
+    """The batches run in buffers made once per call and sized by a byte
+    budget, with the same bits as fresh arrays per batch summed in one go, one
+    product fewer per batch and memory that does not grow with the sample
+    count; the next batch is drawn on one worker thread while the caller
+    reduces the current one."""
 
     @pytest.mark.parametrize("batch", [1000, 4096])
     def test_bits_match_the_allocating_estimator(self, rng, monkeypatch, batch):
-        monkeypatch.setattr(oracles, "_MC_BATCH", batch)
+        monkeypatch.setattr(oracles, "_batch_rows", lambda p, n: batch)
         for p in (1, 3, 6):
             sigma = float_spd(rng, p)
             for m in (None, float_matrix(rng, p, p + 2)):
@@ -376,34 +443,45 @@ class TestMonteCarloBuffers:
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counting)
+        batches = -(-9000 // _batch_rows(4, 6))
+        assert batches == 7  # 1,365 rows
         for i in range(1, 5):
             calls.clear()
             mc_expected_esf(params, i, samples=9000, seed=i)
-            assert len(calls) == 3 * (i + 1), i  # 9000 samples are 3 batches
+            assert len(calls) == batches * (i + 1), i
 
-    def test_memory_is_the_values_and_their_summary(self):
-        # 10^6 values are 8 MB; _summarize holds two more arrays of that
-        # size at once, and the batches add well under 1 MB
-        params = WishartParams(3, 2, ((2.0, 0.5), (0.5, 1.0)))
+    @pytest.mark.parametrize(
+        "p, n, samples",
+        [
+            (2, 3, 10**6),  # 8 MB of per-sample values
+            (20, 22, 5000),  # 4,096-row batch buffers would take 67 MB
+        ],
+    )
+    def test_memory_does_not_grow_with_samples_or_size(self, p, n, samples):
+        # the batch buffers share a 1 MiB budget; the values buffer and the
+        # exact sums stay under a few hundred kB
+        sigma = tuple(tuple(2.0 if r == c else 0.5 for c in range(p)) for r in range(p))
+        params = WishartParams(n, p, sigma)
         mc_expected_esf(params, 2, samples=10, seed=5)  # imports outside the trace
         tracemalloc.start()
         try:
-            mc_expected_esf(params, 2, samples=10**6, seed=5)
+            mc_expected_esf(params, 2, samples=samples, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 25_000_000
+        assert peak < 2_000_000
 
     def test_next_batch_is_drawn_ahead(self, rng, monkeypatch):
         params = WishartParams(6, 4, float_spd(rng, 4), float_matrix(rng, 4, 6))
         made = _record_draws(monkeypatch)
+        planned = -(-9000 // _batch_rows(4, 6))
         batches = 0
         for k, _ in enumerate(oracles._sample_batches(params, 9000, seed=3)):
-            if k < 2:  # batch k + 1 is on its way before the caller reduces batch k
+            if k < planned - 1:  # batch k + 1 is on its way before the caller reduces batch k
                 assert made[0].started[k + 1].wait(timeout=10), k
             batches += 1
         threads = made[0].threads
-        assert batches == len(threads) == 3
+        assert batches == len(threads) == planned
         assert len(set(threads)) == 1 and threads[0] != threading.get_ident()
 
     def test_failed_draw_raises_instead_of_an_estimate(self, rng, monkeypatch):

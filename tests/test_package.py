@@ -83,3 +83,18 @@ def test_benchmark_tracer_installs_after_importing_one_entry(entry):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # dataclasses (and the inspect module it loads) cost every command's
+    # start-up; only the self-test battery, imported when it runs, uses them
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, wishart_esf.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
