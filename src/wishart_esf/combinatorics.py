@@ -49,45 +49,17 @@ def elementary_symmetric(y: Sequence, i: int):
     """
     if i < 0:
         raise ValueError("i must be nonnegative")
-    if i == 0:
-        return 1
-    if i > len(y):
-        return 0
-    total = None
-    for combo in itertools.combinations(y, i):
-        term = combo[0]
-        for v in combo[1:]:
-            term = term * v
-        total = term if total is None else total + term
-    return total
-
-
-def _cycle_lengths(perm: Sequence[int]) -> list[int]:
-    seen = [False] * len(perm)
-    lengths = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        size = 0
-        node = start
-        while not seen[node]:
-            seen[node] = True
-            node = perm[node]
-            size += 1
-        lengths.append(size)
-    return lengths
+    return sum(map(math.prod, itertools.combinations(y, i)))
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
     """+1 for an even permutation of ``0..len(perm)-1``, -1 for an odd one."""
-    return -1 if (len(perm) - len(_cycle_lengths(perm))) % 2 else 1
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 def falling_factorial(n: int, k: int) -> int:
     """``n (n-1) ... (n-k+1)``; equals 0 once the product crosses zero."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
+    return math.prod(range(n, n - k, -1))

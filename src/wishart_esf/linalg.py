@@ -342,12 +342,12 @@ def sym_inv_sqrt(s: Sequence[Sequence]) -> tuple:
     return tuple(tuple(float(x) for x in row) for row in root)
 
 
-def cholesky_lower(s: Sequence[Sequence]) -> tuple:
+def cholesky_lower(s: Sequence[Sequence]):
+    """Lower Cholesky factor of a positive definite matrix, a float64 numpy array."""
     import numpy as np
 
     arr = np.array(to_float(s), dtype=float)
     try:
-        low = np.linalg.cholesky(arr)
+        return np.linalg.cholesky(arr)
     except np.linalg.LinAlgError as exc:
         raise ValueError("covariance is not positive definite") from exc
-    return tuple(tuple(float(x) for x in row) for row in low)

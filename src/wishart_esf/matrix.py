@@ -16,31 +16,28 @@ __all__ = ["UmbralMatrix"]
 class UmbralMatrix:
     """Rectangular matrix with umbral-polynomial entries, stored as row tuples.
 
-    Entries are coerced on construction; instances are immutable values and
-    all operations return fresh matrices.
+    ``from_rows`` checks and coerces the entries; instances are immutable
+    values and all operations return fresh matrices.
     """
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows: int, cols: int, entries: Sequence) -> None:
-        if rows < 1 or cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        flat = [UmbralPolynomial.coerce(e) for e in entries]
-        if len(flat) != rows * cols:
-            raise ValueError("entry count does not match dimensions")
-        self.rows = rows
-        self.cols = cols
-        self._data = tuple(tuple(flat[r * cols : (r + 1) * cols]) for r in range(rows))
+    def __init__(self, data: tuple) -> None:
+        # rows of coerced entries, checked by the builders
+        self.rows = len(data)
+        self.cols = len(data[0])
+        self._data = data
 
     # -- builders -----------------------------------------------------------
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "UmbralMatrix":
-        rows = len(data)
         cols = len(data[0]) if data else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
-        return cls(rows, cols, [e for r in data for e in r])
+        if not cols:
+            raise ValueError("matrix dimensions must be positive")
+        return cls(tuple(tuple(map(UmbralPolynomial.coerce, r)) for r in data))
 
     @classmethod
     def identity(cls, k: int) -> "UmbralMatrix":
@@ -49,7 +46,7 @@ class UmbralMatrix:
     @classmethod
     def diag(cls, values: Sequence) -> "UmbralMatrix":
         k = len(values)
-        return cls(k, k, [values[r] if r == c else 0 for r in range(k) for c in range(k)])
+        return cls.from_rows([[values[r] if r == c else 0 for c in range(k)] for r in range(k)])
 
     # -- access ---------------------------------------------------------------
 
@@ -66,11 +63,11 @@ class UmbralMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
         cols = list(zip(*other._data))
-        rows = [[sum(map(mul, r, c), UmbralPolynomial.zero()) for c in cols] for r in self._data]
-        return UmbralMatrix.from_rows(rows)
+        zero = UmbralPolynomial.zero()
+        rows = tuple(tuple(sum(map(mul, r, c), zero) for c in cols) for r in self._data)
+        return UmbralMatrix(rows)
 
-    def __matmul__(self, other):
-        return self.matmul(other)
+    __matmul__ = matmul
 
     def matpow(self, k: int) -> "UmbralMatrix":
         if self.rows != self.cols:
@@ -83,7 +80,7 @@ class UmbralMatrix:
         return result
 
     def transpose(self) -> "UmbralMatrix":
-        return UmbralMatrix.from_rows(list(zip(*self._data)))
+        return UmbralMatrix(tuple(zip(*self._data)))
 
     def trace(self) -> UmbralPolynomial:
         if self.rows != self.cols:

@@ -214,7 +214,7 @@ def _sample_batches(params: WishartParams, samples: int, seed: int):
     if rows < 1:
         return
     rng = np.random.default_rng(seed)
-    low = np.array(linalg.cholesky_lower(params.sigma), dtype=float)
+    low = linalg.cholesky_lower(params.sigma)
     mean = (
         np.zeros((params.p, params.n))
         if params.m is None
@@ -268,19 +268,21 @@ def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> E
     are batched.  Identical (seed, samples, params) reproduce identical
     output bits.  Memory does not grow with ``samples``, ``p`` or ``n``: the
     batch buffers share ``_MC_BUDGET`` bytes, and the values buffer holds
-    whole batches, about ``_FOLD`` values.
+    whole batches, about ``_FOLD`` values.  ``samples`` is an integer from 2
+    to ``sys.maxsize`` at every order, 0 and above ``p`` included.
     """
     import numpy as np
 
     i = index(i)
+    samples = index(samples)
     if i < 0:
         raise ValueError("order must be nonnegative")
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
     if samples > sys.maxsize:
         raise ValueError(f"at most {sys.maxsize} samples")
     if i == 0:
         return Estimate(value=1.0, stderr=0.0, samples=samples, seed=seed)
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
     if i > params.p:
         return Estimate(value=0.0, stderr=0.0, samples=samples, seed=seed)
     # every batch runs in buffers made once per call

@@ -224,6 +224,19 @@ class _Layout:
         return tuple(umbra_powers), tuple(indet_powers)
 
 
+def _accumulate(terms: dict, key, c) -> None:
+    """Add ``c`` to ``terms[key]``, dropping the key when the sum cancels."""
+    prev = terms.get(key)
+    if prev is None:
+        terms[key] = c
+    else:
+        s = prev + c
+        if s == 0:
+            del terms[key]
+        else:
+            terms[key] = s
+
+
 def _product(left, right: list, guard: int) -> dict:
     """Packed product of a biased left and an unbiased right operand, without
     the pairs that set a guard bit.  The surviving keys carry the bias, so they
@@ -245,6 +258,17 @@ def _product(left, right: list, guard: int) -> dict:
                 else:
                     out[key] = s
     return out
+
+
+def _chain(left: dict, top_left: dict, right: dict, steps: int) -> UmbralPolynomial:
+    """``left * right**steps`` on one layout, sized by ``top_left`` for the last
+    product's left operand; each operand is packed once and the result unpacked once."""
+    layout = _Layout(top_left, _top_exponents(right))
+    packed = layout.pack(right)
+    keys = layout.pack(left, layout.bias)
+    for _ in range(steps):
+        keys = _product(keys, packed, layout.guard).items()
+    return UmbralPolynomial({layout.unpack(key): c for key, c in keys})
 
 
 def _display_order(key: tuple) -> tuple:
@@ -306,10 +330,8 @@ class UmbralPolynomial:
     def as_scalar(self) -> Scalar:
         if not self._terms:
             return 0
-        if len(self._terms) == 1:
-            ((ub, ind), c), = ((k, v) for k, v in self._terms.items())
-            if not ub and not ind:
-                return c
+        if self._terms.keys() == {((), ())}:
+            return self._terms[((), ())]
         raise ValueError("polynomial is not a constant")
 
     # -- ring operations ---------------------------------------------------
@@ -322,15 +344,7 @@ class UmbralPolynomial:
             return self
         merged = dict(self._terms)
         for key, c in other._terms.items():
-            prev = merged.get(key)
-            if prev is None:
-                merged[key] = c
-            else:
-                s = prev + c
-                if s == 0:
-                    del merged[key]
-                else:
-                    merged[key] = s
+            _accumulate(merged, key, c)
         return UmbralPolynomial(merged)
 
     __radd__ = __add__
@@ -360,10 +374,7 @@ class UmbralPolynomial:
         other = UmbralPolynomial.coerce(other)
         if not self._terms or not other._terms:
             return UmbralPolynomial.zero()
-        layout = _Layout(_top_exponents(self._terms), _top_exponents(other._terms))
-        left = layout.pack(self._terms, layout.bias)
-        out = _product(left, layout.pack(other._terms), layout.guard)
-        return UmbralPolynomial({layout.unpack(key): c for key, c in out.items()})
+        return _chain(self._terms, _top_exponents(self._terms), other._terms, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -386,12 +397,7 @@ class UmbralPolynomial:
         for v, e in top.items():
             cap = v.max_power if isinstance(v, Umbra) else None
             top_left[v] = (k - 1) * e if cap is None else min((k - 1) * e, max(e, cap))
-        layout = _Layout(top_left, top)
-        right = layout.pack(self._terms)
-        left = layout.pack(self._terms, layout.bias)
-        for _ in range(k - 1):
-            left = _product(left, right, layout.guard).items()
-        return UmbralPolynomial({layout.unpack(key): c for key, c in left})
+        return _chain(self._terms, top_left, self._terms, k - 1)
 
     def __pow__(self, k: int):
         return self.pow(k)
@@ -437,25 +443,13 @@ def evaluate(x) -> UmbralPolynomial:
     out: dict = {}
     for (ub, ind), c in p._terms.items():
         value = c
-        dead = False
         for u, e in ub:
             mom = u.moment(e)
             if mom == 0:
-                dead = True
                 break
             if mom != 1:
                 value = value * mom
-        if dead:
-            continue
-        key = ((), ind)
-        prev = out.get(key)
-        if prev is None:
-            out[key] = value
         else:
-            s = prev + value
-            if s == 0:
-                del out[key]
-            else:
-                out[key] = s
+            _accumulate(out, ((), ind), value)
     return UmbralPolynomial(out)
 

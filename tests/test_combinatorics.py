@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from random import Random
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wishart_esf.combinatorics import complete_bell, elementary_symmetric, falling_factorial
+from wishart_esf.combinatorics import (
+    complete_bell,
+    elementary_symmetric,
+    falling_factorial,
+    permutation_sign,
+)
 from wishart_esf.umbra import UmbralPolynomial, indeterminates
 
 from conftest import (
@@ -282,3 +288,26 @@ class TestFallingFactorial:
         for n in range(0, 7):
             for k in range(0, n + 1):
                 assert falling_factorial(n, k) == math.perm(n, k)
+
+    def test_conventions_past_zero_and_at_negative_arguments(self):
+        # math.perm refuses a negative n; the moments of falling(n) need these
+        assert falling_factorial(-1, 2) == 2
+        assert falling_factorial(-3, 3) == -60
+        assert falling_factorial(3, 4) == 0
+        for n in range(-4, 5):
+            assert falling_factorial(n, 0) == 1
+
+
+class TestPermutationSign:
+    def test_identity_transpositions_and_products(self):
+        for n in range(6):
+            perms = list(itertools.permutations(range(n)))
+            assert permutation_sign(tuple(range(n))) == 1
+            for a, b in itertools.combinations(range(n), 2):
+                swap = list(range(n))
+                swap[a], swap[b] = b, a
+                assert permutation_sign(swap) == -1
+            for p in perms:
+                for q in perms:
+                    composed = [p[q[k]] for k in range(n)]
+                    assert permutation_sign(composed) == permutation_sign(p) * permutation_sign(q)

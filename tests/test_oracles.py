@@ -371,6 +371,16 @@ class TestMonteCarlo:
             with pytest.raises(ValueError, match="at most"):
                 mc_expected_esf(params, i, samples=sys.maxsize + 1, seed=1)
 
+    def test_sample_count_below_two_or_not_an_integer_rejected_at_every_order(self):
+        # orders 0 and above p return without sampling, after the count is read
+        params = WishartParams(3, 2, linalg.identity(2))
+        for i in range(params.p + 2):
+            for samples in (-5, 0, 1):
+                with pytest.raises(ValueError, match="at least 2"):
+                    mc_expected_esf(params, i, samples=samples, seed=1)
+            with pytest.raises(TypeError):
+                mc_expected_esf(params, i, samples=2.0, seed=1)
+
 
 class _RecordingGenerator:
     """Stands in for the generator the sampler makes: records the thread of

@@ -17,16 +17,20 @@ MODULES = ["wishart_esf"] + [
     if info.name != "__main__"
 ]
 
-# Defined in the package and named nowhere in it, each for a reason of its own.
-CALLED_FROM_OUTSIDE = {
-    # argparse calls it on a usage problem
-    "cli._Parser.error",
-    # wrapped by name by the benchmark tracer (perfbench/tracing.py); no route calls them
+# wrapped by name by the benchmark tracer (perfbench/tracing.py); no route calls them
+WRAPPED_BY_TRACER = {
     "linalg.inverse",
     "linalg.principal_minor_sum",
     "linalg.rational_eigenvalues",
     "linalg.singular_values",
     "linalg.sym_inv_sqrt",
+}
+
+# Defined in the package and named nowhere in it, each for a reason of its own.
+CALLED_FROM_OUTSIDE = {
+    # argparse calls it on a usage problem
+    "cli._Parser.error",
+    *WRAPPED_BY_TRACER,
 }
 
 
@@ -83,6 +87,33 @@ def test_benchmark_tracer_installs_after_importing_one_entry(entry):
         text=True,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_entries_kept_for_the_tracer_are_wrapped_by_it():
+    # an entry the tracer no longer wraps has no caller left: delete it
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root / "perfbench")])
+    code = (
+        "import wishart_esf, tracing\n"
+        "tracer = tracing.Tracer()\n"
+        "tracer.install()\n"
+        "for owner, attr, _ in tracer._restore:\n"
+        "    name = getattr(owner, '__qualname__', None)\n"
+        "    print(owner.__name__ if name is None else f'{owner.__module__}.{name}', attr)\n"
+        "tracer.uninstall()"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    wrapped = {
+        f"{owner.removeprefix('wishart_esf.')}.{attr}"
+        for owner, attr in (line.split() for line in result.stdout.splitlines())
+    }
+    assert sorted(WRAPPED_BY_TRACER - wrapped) == []
 
 
 def test_cli_import_leaves_out_dataclasses():
