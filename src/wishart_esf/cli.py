@@ -43,11 +43,11 @@ EXIT_STATISTICAL = 3
 
 
 class UsageError(Exception):
-    pass
+    exit_code = EXIT_USAGE
 
 
 class NumericalError(Exception):
-    pass
+    exit_code = EXIT_NUMERICAL
 
 
 # -- matrix I/O ----------------------------------------------------------------
@@ -172,12 +172,10 @@ def _evaluate(args, methods: list[str]) -> tuple[wishart.WishartParams, list[tup
     if len(set(methods)) < len(methods):
         raise UsageError("each method may be named only once")
     if "mc" in methods:
-        if args.samples < 2:
-            raise UsageError("--samples must be at least 2")
-        if args.samples > sys.maxsize:
-            raise UsageError(f"--samples must be at most {sys.maxsize}")
-        if args.seed < 0:
-            raise UsageError("--seed must be nonnegative")
+        try:
+            oracles._check_sampling(args.samples, args.seed)
+        except ValueError as exc:
+            raise UsageError(f"--{exc}") from exc
     orders = _parse_orders(args.i, args.p)
     params = _build_params(args)
     # wick's size limit, at the orders guard_order passes on to the expansion
@@ -189,24 +187,12 @@ def _evaluate(args, methods: list[str]) -> tuple[wishart.WishartParams, list[tup
     return params, [(i, {m: _method_value(m, params, i, args) for m in methods}) for i in orders]
 
 
-def _params_echo(params: wishart.WishartParams) -> dict:
-    echo = {
-        "n": params.n,
-        "p": params.p,
-        "mode": params.mode,
-        "sigma": [[format_scalar(v) for v in row] for row in params.sigma],
-    }
-    if params.m is not None:
-        echo["m"] = [[format_scalar(v) for v in row] for row in params.m]
-    return echo
-
-
-def _emit(args, payload: dict, csv_rows: list[list] | None = None) -> None:
+def _emit(args, payload: dict, csv_rows: list[list]) -> None:
     if args.output == "json":
         # an exact value is reported as the string "a/b"
         text = json.dumps(payload, indent=2, default=format_scalar)
     else:
-        lines = [",".join(str(c) for c in row) for row in csv_rows or []]
+        lines = [",".join(str(c) for c in row) for row in csv_rows]
         text = "\n".join(lines)
     out_path = getattr(args, "out", None)
     if not out_path:
@@ -228,24 +214,38 @@ def _emit(args, payload: dict, csv_rows: list[list] | None = None) -> None:
         raise UsageError(f"cannot write {out_path}: {exc}") from exc
 
 
+def _report(args, params, methods, results: list, csv_rows: list[list], **tail) -> None:
+    """Emit the report of ``args.command``: its header, ``results``, then ``tail``."""
+    echo = {
+        "n": params.n,
+        "p": params.p,
+        "mode": params.mode,
+        "sigma": [[format_scalar(v) for v in row] for row in params.sigma],
+    }
+    if params.m is not None:
+        echo["m"] = [[format_scalar(v) for v in row] for row in params.m]
+    payload = {
+        "schema": SCHEMA_VERSION,
+        "command": args.command,
+        "method" if isinstance(methods, str) else "methods": methods,
+        "mode": params.mode,
+        "params": echo,
+        "results": results,
+        **tail,
+    }
+    _emit(args, payload, csv_rows)
+
+
 # -- subcommands -------------------------------------------------------------------
 
 
 def _cmd_compute(args) -> int:
     params, grid = _evaluate(args, [args.method])
     entries = [row[args.method] for _, row in grid]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "compute",
-        "method": args.method,
-        "mode": params.mode,
-        "params": _params_echo(params),
-        "results": entries,
-    }
     csv_rows = [["method", "i", "value", "stderr"]] + [
         [e["method"], e["i"], e["value"], e.get("stderr", "")] for e in entries
     ]
-    _emit(args, payload, csv_rows)
+    _report(args, params, args.method, entries, csv_rows)
     return EXIT_OK
 
 
@@ -271,7 +271,7 @@ def _values_agree(kind: str, base: dict, other: dict) -> tuple[bool, float]:
 
 
 def _cmd_compare(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = args.methods
     if len(methods) < 2:
         raise UsageError("compare needs at least two methods")
     params, grid = _evaluate(args, methods)
@@ -289,38 +289,21 @@ def _cmd_compare(args) -> int:
         values = {m: e["value"] for m, e in entries.items()}
         ok = all(d["pass"] for d in deviations.values())
         rows.append({"i": i, "values": values, "deviations": deviations, "pass": ok})
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "compare",
-        "methods": methods,
-        "mode": params.mode,
-        "params": _params_echo(params),
-        "results": rows,
-        "passed": worst == EXIT_OK,
-    }
     csv_rows = [["i", "pass"] + methods] + [
         [r["i"], r["pass"]] + [r["values"][m] for m in methods] for r in rows
     ]
-    _emit(args, payload, csv_rows)
+    _report(args, params, methods, rows, csv_rows, passed=worst == EXIT_OK)
     return worst
 
 
 def _cmd_table(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    methods = args.methods
     if not methods:
         raise UsageError("table needs at least one method")
     params, grid = _evaluate(args, methods)
     rows = [{"i": i, "values": {m: e["value"] for m, e in entries.items()}} for i, entries in grid]
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "table",
-        "methods": methods,
-        "mode": params.mode,
-        "params": _params_echo(params),
-        "results": rows,
-    }
     csv_rows = [["i"] + methods] + [[r["i"]] + [r["values"][m] for m in methods] for r in rows]
-    _emit(args, payload, csv_rows)
+    _report(args, params, methods, rows, csv_rows)
     return EXIT_OK
 
 
@@ -360,6 +343,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _split_methods(text: str) -> list[str]:
+    """The comma-separated method list of ``--methods``, blanks dropped."""
+    return [m.strip() for m in text.split(",") if m.strip()]
+
+
 def _add_model_arguments(sub) -> None:
     sub.add_argument("--n", type=int, required=True, help="degrees of freedom")
     sub.add_argument("--p", type=int, required=True, help="dimension")
@@ -385,12 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subs.add_parser("compare", help="run several methods and check agreement")
     _add_model_arguments(compare)
-    compare.add_argument("--methods", required=True, help="comma-separated method list")
+    compare.add_argument("--methods", required=True, type=_split_methods, help="comma-separated method list")
     compare.set_defaults(func=_cmd_compare)
 
     table = subs.add_parser("table", help="values per method without judgement")
     _add_model_arguments(table)
-    table.add_argument("--methods", required=True, help="comma-separated method list")
+    table.add_argument("--methods", required=True, type=_split_methods, help="comma-separated method list")
     table.set_defaults(func=_cmd_table)
 
     self_test = subs.add_parser("selftest", help="run the embedded check battery")
@@ -405,12 +393,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return exc.exit_code
 
 
 if __name__ == "__main__":

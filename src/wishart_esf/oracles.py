@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import linalg
 from .combinatorics import permutation_sign
-from .wishart import WishartParams, guard_order
+from .wishart import WishartParams, guard_order, numeric_order
 
 __all__ = [
     "Estimate",
@@ -159,12 +159,12 @@ def wick_expected_esf(params: WishartParams, i: int):
 
 def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
     """Exact i-th moment of ``tr[(D_y X D_x)(D_y X D_x)^T]`` at numeric
-    weights: the quadratic form ``sum y_a^2 x_j^2 X[a,j]^2`` raised to the
-    i-th power and paired out term by term.  The value is a ``Fraction`` in
-    rational mode and a float in float mode."""
-    i = index(i)
-    if i < 0:
-        raise ValueError("order must be nonnegative")
+    weights, ``p`` of them in ``y`` and ``n`` in ``x``: the quadratic form
+    ``sum y_a^2 x_j^2 X[a,j]^2`` raised to the i-th power and paired out term
+    by term.  The value is a ``Fraction`` in rational mode and a float in float mode."""
+    i = numeric_order(params, i)
+    if len(y) != params.p or len(x) != params.n:
+        raise ValueError("need p row weights y and n column weights x")
     _check_wick_size(params, i)
     mean, cov = _entry_mean_cov(params)
     cells = [(a, j) for a in range(params.p) for j in range(params.n)]
@@ -185,6 +185,19 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
 
 
 # -- seeded Monte Carlo ---------------------------------------------------------
+
+
+def _check_sampling(samples: int, seed: int) -> tuple[int, int]:
+    """The sampling contract, at every order: ``samples`` an integer from 2 to
+    ``sys.maxsize`` and ``seed`` a nonnegative integer; returns both as ``int``."""
+    samples, seed = index(samples), index(seed)
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    if samples > sys.maxsize:
+        raise ValueError(f"samples must be at most {sys.maxsize}")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    return samples, seed
 
 
 def _batch_rows(p: int, n: int) -> int:
@@ -268,23 +281,15 @@ def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> E
     are batched.  Identical (seed, samples, params) reproduce identical
     output bits.  Memory does not grow with ``samples``, ``p`` or ``n``: the
     batch buffers share ``_MC_BUDGET`` bytes, and the values buffer holds
-    whole batches, about ``_FOLD`` values.  ``samples`` is an integer from 2
-    to ``sys.maxsize`` at every order, 0 and above ``p`` included.
+    whole batches, about ``_FOLD`` values.  ``samples`` and ``seed`` pass
+    :func:`_check_sampling` at every order, 0 and above ``p`` included.
     """
     import numpy as np
 
-    i = index(i)
-    samples = index(samples)
-    if i < 0:
-        raise ValueError("order must be nonnegative")
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
-    if samples > sys.maxsize:
-        raise ValueError(f"at most {sys.maxsize} samples")
-    if i == 0:
-        return Estimate(value=1.0, stderr=0.0, samples=samples, seed=seed)
-    if i > params.p:
-        return Estimate(value=0.0, stderr=0.0, samples=samples, seed=seed)
+    samples, seed = _check_sampling(samples, seed)
+    i = numeric_order(params, i)
+    if not 1 <= i <= params.p:
+        return Estimate(value=float(i == 0), stderr=0.0, samples=samples, seed=seed)
     # every batch runs in buffers made once per call
     rows = min(_batch_rows(params.p, params.n), samples)
     shape = (rows, params.p, params.p)

@@ -167,23 +167,30 @@ def trace_moment(params: WishartParams, i: int) -> UmbralPolynomial:
 # -- the symbolic route to expected elementary symmetric functions -----------
 
 
+def numeric_order(params: WishartParams, i: int) -> int:
+    """The order ``i`` of every numeric method as an ``int``: symbolic sets and
+    negative orders raise ``ValueError``, non-integer orders ``TypeError``."""
+    if params.mode == "symbolic":
+        raise ValueError("symbolic parameter sets cannot be evaluated numerically")
+    i = index(i)
+    if i < 0:
+        raise ValueError("order must be nonnegative")
+    return i
+
+
 def guard_order(route):
     """Shared entry of the routes to ``E[e_i(W)]``.
 
-    Rejects symbolic parameter sets, non-integer orders (``TypeError``) and
-    negative orders, answers ``i = 0`` (one) and ``i > p`` (zero) without
-    calling the route, and returns a value whose type follows ``params.mode``:
-    a float in float mode, a ``Fraction`` in rational mode.  A float-mode
-    value beyond the float range raises ``OverflowError``.
+    Reads the order through :func:`numeric_order`, answers ``i = 0`` (one)
+    and ``i > p`` (zero) without calling the route, and returns a value whose
+    type follows ``params.mode``: a float in float mode, a ``Fraction`` in
+    rational mode.  A float-mode value beyond the float range raises
+    ``OverflowError``.
     """
 
     @functools.wraps(route)
     def guarded(params: WishartParams, i: int):
-        if params.mode == "symbolic":
-            raise ValueError("symbolic parameter sets cannot be evaluated numerically")
-        i = index(i)
-        if i < 0:
-            raise ValueError("order must be nonnegative")
+        i = numeric_order(params, i)
         value = route(params, i) if 1 <= i <= params.p else int(i == 0)
         try:
             return float(value) if params.mode == "float" else Fraction(value)

@@ -227,6 +227,19 @@ class TestCompute:
         assert result.stdout == ""
         assert "--seed" in result.stderr
 
+    @pytest.mark.parametrize("flag, value", [("samples", 1), ("samples", 2**70), ("seed", -1)])
+    def test_sampling_errors_are_the_librarys(self, identity2, flag, value):
+        # the command line reports the library's own check, prefixed with "--"
+        sampling = {"samples": 100_000, "seed": 20200429, flag: value}
+        params = wishart.WishartParams(3, 2, ((1, 0), (0, 1)))
+        with pytest.raises(ValueError) as library:
+            oracles.mc_expected_esf(params, 1, **sampling)
+        stderr = io.StringIO()
+        argv = ["compute", "--method", "mc", "--n", "3", "--p", "2", "--sigma", identity2, "--i", "1"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            assert main(argv + [f"--{flag}", str(value)]) == EXIT_USAGE
+        assert stderr.getvalue() == f"error: --{library.value}\n"
+
     @pytest.mark.parametrize("method", ["umbral", "closed-form"])
     def test_value_beyond_float_range_says_so(self, tmp_path, method):
         sigma = tmp_path / "huge.csv"

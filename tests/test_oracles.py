@@ -21,7 +21,7 @@ from wishart_esf.oracles import (
     wick_expected_esf,
     wick_trace_moment,
 )
-from wishart_esf.wishart import WishartParams, expected_esf_closed_form
+from wishart_esf.wishart import WishartParams, expected_esf_closed_form, expected_esf_umbral
 
 from conftest import (
     allocating_mc_esf,
@@ -169,6 +169,32 @@ class TestWickTraceMoment:
             with pytest.raises(TypeError):
                 wick_trace_moment(params, [1, 1], [1, 1, 1], order)
         assert wick_trace_moment(params, [1, 1], [1, 1, 1], np.int64(1)) == 6
+
+    def test_weight_lengths_must_match_the_model(self):
+        # a third row weight at p = 2 used to be dropped, a short list to fail on an index
+        params = WishartParams(3, 2, linalg.identity(2))
+        for y, x in (([1, 1, 5], [1, 1, 1]), ([1], [1, 1, 1]), ([1, 1], [1, 1]), ([1, 1], [1, 1, 1, 1])):
+            for i in (0, 1):
+                with pytest.raises(ValueError, match="weights"):
+                    wick_trace_moment(params, y, x, i)
+
+
+@pytest.mark.parametrize(
+    "method",
+    [
+        expected_esf_umbral,
+        expected_esf_closed_form,
+        wick_expected_esf,
+        lambda params, i: wick_trace_moment(params, [1, 1], [1, 1, 1], i),
+        lambda params, i: mc_expected_esf(params, i, samples=100, seed=1),
+    ],
+    ids=["umbral", "closed-form", "wick", "wick-trace-moment", "mc"],
+)
+def test_every_numeric_method_refuses_symbolic_parameter_sets(method):
+    params = WishartParams.symbolic(3, 2)
+    for i in range(params.p + 2):
+        with pytest.raises(ValueError, match="symbolic parameter sets"):
+            method(params, i)
 
 
 class TestMonteCarlo:
@@ -380,6 +406,16 @@ class TestMonteCarlo:
                     mc_expected_esf(params, i, samples=samples, seed=1)
             with pytest.raises(TypeError):
                 mc_expected_esf(params, i, samples=2.0, seed=1)
+
+    def test_seed_is_a_nonnegative_integer_at_every_order(self):
+        # orders 0 and above p return without sampling, after the seed is read
+        params = WishartParams(3, 2, linalg.identity(2))
+        for i in range(params.p + 2):
+            with pytest.raises(ValueError, match="seed must be nonnegative"):
+                mc_expected_esf(params, i, samples=100, seed=-1)
+            for seed in (None, 1.5):
+                with pytest.raises(TypeError):
+                    mc_expected_esf(params, i, samples=100, seed=seed)
 
 
 class _RecordingGenerator:
