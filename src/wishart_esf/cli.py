@@ -266,7 +266,7 @@ def _values_agree(kind: str, base: dict, other: dict) -> tuple[bool, float]:
     if kind == "statistical":
         spread = math.hypot(base.get("stderr", 0.0), other.get("stderr", 0.0))
         return diff <= 4 * spread if spread > 0 else diff == 0.0, diff
-    scale = max(1.0, abs(fa), abs(fb))
+    scale = max(abs(fa), abs(fb))
     return diff <= FLOAT_RTOL * scale, diff
 
 

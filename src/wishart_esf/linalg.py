@@ -7,7 +7,7 @@ closed form (it also gives ``UmbralMatrix.det``, over the umbral polynomial
 ring), and from the traces of the powers of a matrix polynomial,
 :func:`power_sums`, for the umbral route.  The Cholesky factor the Monte
 Carlo oracle samples with is a thin numpy wrapper; so are the SVD and the
-symmetric inverse square root, which no route calls any more.
+symmetric inverse square root, which no route calls.
 """
 
 from __future__ import annotations

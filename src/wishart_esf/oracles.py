@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from operator import index
 from typing import Sequence
@@ -43,42 +44,25 @@ _FOLD = 4096  # per-sample values folded into the exact sums at once: at least t
 _EXACT_RUN = 1 << 16  # values whose binned pieces, each below 2^37, float64 sums hold exactly
 
 
-class Estimate:
+class Estimate(namedtuple("Estimate", "value stderr samples seed")):
     """A Monte Carlo result: value, standard error (0 for exact), sample
     count, and the seed that reproduces it bit for bit.  Immutable, and equal
-    to another ``Estimate`` with the same four fields."""
+    to another ``Estimate`` with the same four fields, never to a plain tuple."""
 
-    __slots__ = ("value", "stderr", "samples", "seed")
+    __slots__ = ()
 
-    def __init__(self, value: float, stderr: float, samples: int, seed: int) -> None:
+    def __new__(cls, value: float, stderr: float, samples: int, seed: int) -> Estimate:
         if stderr < 0:
             raise ValueError("standard error cannot be negative")
-        for name, field in zip(self.__slots__, (value, stderr, samples, seed)):
-            object.__setattr__(self, name, field)
-
-    def _fields(self) -> tuple:
-        return (self.value, self.stderr, self.samples, self.seed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an Estimate")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an Estimate")
-
-    def __reduce__(self):
-        return (Estimate, self._fields())
+        return super().__new__(cls, value, stderr, samples, seed)
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={field!r}" for name, field in zip(self.__slots__, self._fields()))
-        return f"Estimate({fields})"
+    __hash__ = tuple.__hash__
 
 
 # -- exact pairing expansion ---------------------------------------------------

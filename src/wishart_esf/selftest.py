@@ -7,8 +7,8 @@ full battery is the smoke-test counterpart of the pytest acceptance suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import combinatorics as comb
 from . import linalg, oracles, wishart
@@ -18,8 +18,7 @@ from .umbra import UmbralPolynomial, evaluate, indeterminates, singletons
 __all__ = ["CheckResult", "run_selftest"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -104,7 +104,7 @@ class WishartParams:
                     "(--mode rational) reads every entry exactly"
                 ) from None
             # the first p * p entries are the covariance's
-            tol = SYMMETRY_TOL * max([1.0] + sizes[: self.p * self.p])
+            tol = SYMMETRY_TOL * max(sizes[: self.p * self.p])
         if not linalg.is_symmetric(self.sigma, tol):
             raise ValueError("covariance must be symmetric")
         if not linalg.is_positive_definite(self.sigma):

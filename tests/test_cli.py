@@ -332,6 +332,16 @@ class TestCompute:
         assert code == EXIT_OK
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    def test_asymmetric_covariance_is_refused_at_every_scale(self, tmp_path, capsys):
+        # Monte Carlo's Cholesky would read only the lower triangle
+        for scale in (1e-20, 1.0, 1e20):
+            sigma = str(tmp_path / "s.csv")
+            write_matrix_csv(sigma, ((2 * scale, 0.0), (scale, 2 * scale)))
+            argv = ["compare", "--methods", "closed-form,mc", "--n", "3", "--p", "2"]
+            code = main(argv + ["--sigma", sigma, "--i", "2", "--no-timing"])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (EXIT_USAGE, "", "error: covariance must be symmetric\n"), scale
+
     def test_monte_carlo_beyond_float_range_says_so(self, tmp_path):
         sigma = tmp_path / "huge.csv"
         sigma.write_text("1e120,0,0\n0,1e120,0\n0,0,1e120\n")
@@ -533,6 +543,31 @@ class TestCompare:
         assert (code, stdout, err) == (EXIT_NUMERICAL, "", "error: wick failed at i=2: wick oracle limit\n")
         assert not out.exists()
         assert calls == []
+
+    def test_float_tolerance_is_relative_below_unit_scale(self, tmp_path, capsys, monkeypatch):
+        # values near 1e-4 and 1e-8 that differ by 1e-6 relative are far
+        # apart, although their absolute difference is below 1e-8
+        route = wishart.expected_esf_umbral
+        monkeypatch.setattr(wishart, "expected_esf_umbral", lambda params, i: route(params, i) * (1 + 1e-6))
+        sigma = str(tmp_path / "s.csv")
+        write_matrix_csv(sigma, ((1e-4, 0.0), (0.0, 1e-4)))
+        code = main(
+            ["compare", "--methods", "closed-form,umbral", "--n", "3", "--p", "2"]
+            + ["--sigma", sigma, "--i", "1..2", "--no-timing"]
+        )
+        rows = json.loads(capsys.readouterr().out)["results"]
+        assert code == EXIT_NUMERICAL
+        assert [row["deviations"]["umbral"]["pass"] for row in rows] == [False, False]
+
+    def test_two_float_zeros_agree(self, tmp_path, capsys):
+        sigma = str(tmp_path / "s.csv")
+        write_matrix_csv(sigma, ((1e-4, 0.0), (0.0, 1e-4)))
+        code = main(
+            ["compare", "--methods", "closed-form,umbral", "--n", "3", "--p", "2"]
+            + ["--sigma", sigma, "--i", "3", "--no-timing"]
+        )
+        (row,) = json.loads(capsys.readouterr().out)["results"]
+        assert code == EXIT_OK and row["values"] == {"closed-form": 0.0, "umbral": 0.0}
 
     def test_statistical_failure_exit_code(self, identity2, capsys):
         # 2 samples cannot match the exact value within 4 stderr every time;

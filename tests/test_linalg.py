@@ -9,7 +9,7 @@ import pytest
 
 from wishart_esf import linalg
 
-from conftest import rational_matrix
+from conftest import bareiss_det, rational_matrix
 
 # integer covariance whose elimination in floating point is off in the last bit
 INTEGER_SIGMA = (
@@ -133,6 +133,32 @@ class TestExactElimination:
             for row in INTEGER_SIGMA
         )
         assert product == linalg.identity(5)
+
+
+class TestBareissDet:
+    """The column-subset oracle's fraction-free determinant against the top
+    coefficient of the division-free characteristic polynomial."""
+
+    def test_matches_charpoly_on_integer_matrices(self, rng):
+        for _ in range(60):
+            size = rng.randint(1, 6)
+            a = tuple(tuple(rng.randint(-9, 9) for _ in range(size)) for _ in range(size))
+            assert bareiss_det(a) == linalg.charpoly(a)[-1], a
+
+    def test_zero_leading_pivot_swaps_rows(self):
+        a = ((0, 2, 1), (3, 1, 4), (1, 5, 9))
+        assert bareiss_det(a) == linalg.charpoly(a)[-1] == -32
+        b = ((0, 0, 2, 1), (0, 3, 1, 4), (5, 1, 5, 9), (2, 6, 5, 3))
+        assert bareiss_det(b) == linalg.charpoly(b)[-1] != 0
+
+    def test_singular(self):
+        dependent = ((1, 2, 3), (4, 5, 6), (5, 7, 9))  # third row is the sum of the others
+        no_pivot = ((0, 1, 2), (0, 3, 4), (0, 5, 6))  # no row to swap in
+        for a in (dependent, no_pivot):
+            assert bareiss_det(a) == linalg.charpoly(a)[-1] == 0
+
+    def test_empty_matrix(self):
+        assert bareiss_det([]) == 1
 
 
 def leading_minors_positive(a) -> bool:

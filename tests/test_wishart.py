@@ -79,6 +79,18 @@ class TestParams:
         with pytest.raises(ValueError, match="symmetric"):
             WishartParams(3, 2, ((2.0, 1.0), (1.0 + 1e-9, 3.0)))
 
+    def test_symmetry_is_judged_at_the_covariance_scale(self):
+        # the same matrices at every scale: an asymmetry of half the diagonal is
+        # refused and one of two ulps accepted, below unit scale too
+        asymmetric = ((2.0, 0.0), (1.0, 2.0))
+        nearly = ((2.0, 1.0), (1.0 * (1 + 4e-16), 2.0))
+        for scale in (1e-20, 1.0, 1e20):
+            with pytest.raises(ValueError, match="symmetric"):
+                WishartParams(3, 2, [[x * scale for x in row] for row in asymmetric])
+            params = WishartParams(3, 2, [[x * scale for x in row] for row in nearly])
+            assert params.mode == "float" and params.sigma[1][0] != params.sigma[0][1]
+        assert WishartParams(4, 3, NEARLY_SYMMETRIC_SIGMA).mode == "float"
+
     def test_dimensions_must_be_integers(self):
         import numpy as np
 
