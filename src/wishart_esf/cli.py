@@ -155,7 +155,7 @@ def _method_value(method: str, params, i: int, args) -> dict:
             est = oracles.mc_expected_esf(params, i, args.samples, args.seed)
             entry.update(stderr=est.stderr, samples=est.samples, seed=est.seed)
             value = est.value
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:  # MemoryError: an MC sample too large
         raise NumericalError(f"{method} failed at i={i}: {exc}") from exc
     entry["value"] = value
     if not args.no_timing:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import linalg
 from .combinatorics import permutation_sign
-from .wishart import WishartParams, guard_order, numeric_order
+from .wishart import WishartParams, guard_order, mode_value, numeric_order
 
 __all__ = [
     "Estimate",
@@ -145,7 +145,7 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
     """Exact i-th moment of ``tr[(D_y X D_x)(D_y X D_x)^T]`` at numeric
     weights, ``p`` of them in ``y`` and ``n`` in ``x``: the quadratic form
     ``sum y_a^2 x_j^2 X[a,j]^2`` raised to the i-th power and paired out term
-    by term.  The value is a ``Fraction`` in rational mode and a float in float mode."""
+    by term.  The value passes through :func:`wishart.mode_value`."""
     i = numeric_order(params, i)
     if len(y) != params.p or len(x) != params.n:
         raise ValueError("need p row weights y and n column weights x")
@@ -165,7 +165,7 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
         value = _partial_pairing_expectation(tuple(labels), mean, cov)
         if value != 0:
             total = total + coeff * value
-    return Fraction(total) if params.mode == "rational" else float(total)
+    return mode_value(params, total)
 
 
 # -- seeded Monte Carlo ---------------------------------------------------------
@@ -263,9 +263,9 @@ def mc_expected_esf(params: WishartParams, i: int, samples: int, seed: int) -> E
     sums.  The value is their correctly rounded mean, the standard error is
     within an ulp of the exact spread, and neither depends on how the samples
     are batched.  Identical (seed, samples, params) reproduce identical
-    output bits.  Memory does not grow with ``samples``, ``p`` or ``n``: the
-    batch buffers share ``_MC_BUDGET`` bytes, and the values buffer holds
-    whole batches, about ``_FOLD`` values.  ``samples`` and ``seed`` pass
+    output bits.  Memory does not grow with ``samples``: the batch buffers
+    share ``_MC_BUDGET`` bytes until one sample outgrows it, and the values
+    buffer holds whole batches, about ``_FOLD`` values.  ``samples`` and ``seed`` pass
     :func:`_check_sampling` at every order, 0 and above ``p`` included.
     """
     import numpy as np

@@ -21,7 +21,9 @@ unpacked back to the ``(umbra_powers, indet_powers)`` tuples of
 :class:`UmbralPolynomial`, once per power: a power runs on one layout sized
 for its last step, and each step's keys are the next step's left operand.
 The coefficients are whatever the operands hold; callers that clear
-denominators first (the Wishart route does) keep them ``int``.
+denominators first (the Wishart route does) keep them ``int``.  Sums,
+products and evaluation put them into a term map through :func:`_accumulate`
+alone, the home of the rule that no coefficient is zero.
 
 Monomial keys hold the variable objects themselves, so a polynomial keeps its
 own umbrae and indeterminates alive and no module-level table maps ids back
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 import numbers
 from fractions import Fraction
+from operator import index
 from typing import Callable, Union
 
 from .combinatorics import falling_factorial
@@ -172,16 +175,17 @@ class _Layout:
     an umbra whose exponent sum can exceed its ``max_power`` c gets a guard
     bit at position k and a bias ``2^k - 1 - c`` on the left operand's keys:
     the guard bit of a sum is set exactly when that umbra's exponent
-    exceeds c.
+    exceeds c.  ``fields`` lists ``(variable, offset, mask, kind)``, ``kind``
+    0 for an umbra and 1 for an indeterminate.  A layout moves exponents only;
+    coefficients, and the rule that none is zero, belong to :func:`_accumulate`.
     """
 
-    __slots__ = ("offsets", "bias", "guard", "umbra_fields", "indet_fields")
+    __slots__ = ("offsets", "bias", "guard", "fields")
 
     def __init__(self, top_left: dict, top_right: dict) -> None:
         self.offsets: dict = {}
         self.bias = self.guard = 0
-        self.umbra_fields: list = []
-        self.indet_fields: list = []
+        self.fields: list = []
         offset = 0
         for v in sorted(top_left.keys() | top_right.keys(), key=lambda v: v.ident):
             total = top_left.get(v, 0) + top_right.get(v, 0)
@@ -195,8 +199,7 @@ class _Layout:
                 self.guard |= 1 << (offset + k)
                 width = k + 1
             self.offsets[v] = offset
-            fields = self.umbra_fields if is_umbra else self.indet_fields
-            fields.append((v, offset, (1 << width) - 1))
+            self.fields.append((v, offset, (1 << width) - 1, 0 if is_umbra else 1))
             offset += width
 
     def pack(self, terms: dict, bias: int = 0) -> list:
@@ -211,30 +214,25 @@ class _Layout:
 
     def unpack(self, key: int) -> tuple:
         key -= self.bias
-        umbra_powers = []
-        for v, offset, mask in self.umbra_fields:
+        powers = ([], [])
+        for v, offset, mask, kind in self.fields:
             e = key >> offset & mask
             if e:
-                umbra_powers.append((v, e))
-        indet_powers = []
-        for v, offset, mask in self.indet_fields:
-            e = key >> offset & mask
-            if e:
-                indet_powers.append((v, e))
-        return tuple(umbra_powers), tuple(indet_powers)
+                powers[kind].append((v, e))
+        return tuple(powers[0]), tuple(powers[1])
 
 
 def _accumulate(terms: dict, key, c) -> None:
-    """Add ``c`` to ``terms[key]``, dropping the key when the sum cancels."""
+    """Add ``c`` to ``terms[key]``, dropping the key when the sum is zero: a
+    cancelled sum or an underflowed float product.  The one place a coefficient
+    enters a term map, so the nonzero-coefficient rule lives here."""
     prev = terms.get(key)
-    if prev is None:
+    if prev is not None:
+        c = prev + c
+    if c:
         terms[key] = c
     else:
-        s = prev + c
-        if s == 0:
-            del terms[key]
-        else:
-            terms[key] = s
+        terms.pop(key, None)
 
 
 def _product(left, right: list, guard: int) -> dict:
@@ -247,16 +245,7 @@ def _product(left, right: list, guard: int) -> dict:
             key = ka + kb
             if key & guard:
                 continue
-            c = ca * cb
-            prev = out.get(key)
-            if prev is None:
-                out[key] = c
-            else:
-                s = prev + c
-                if s == 0:
-                    del out[key]
-                else:
-                    out[key] = s
+            _accumulate(out, key, ca * cb)
     return out
 
 
@@ -363,7 +352,7 @@ class UmbralPolynomial:
             return UmbralPolynomial.zero()
         if c == 1 and not isinstance(c, float):
             return self
-        return UmbralPolynomial({k: v * c for k, v in self._terms.items()})
+        return UmbralPolynomial({k: w for k, v in self._terms.items() if (w := v * c) != 0})
 
     def mul(self, other) -> "UmbralPolynomial":
         """Product over the commutative ring.  Any monomial in which some
@@ -384,6 +373,7 @@ class UmbralPolynomial:
     __rmul__ = __mul__
 
     def pow(self, k: int) -> "UmbralPolynomial":
+        k = index(k)
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         if k == 0:

@@ -137,6 +137,7 @@ def trace_cumulant(params: WishartParams, k: int) -> UmbralPolynomial:
     with ``D = diag(y^2)`` and ``H = (D Sigma)^(k-1) D``: one polynomial
     matrix power, shared by the central part ``tr(H Sigma)`` and every column.
     """
+    k = index(k)
     if k < 1:
         raise ValueError("cumulant order must be positive")
     d = UmbralMatrix.diag([y**2 for y in params.y_vars])
@@ -178,27 +179,34 @@ def numeric_order(params: WishartParams, i: int) -> int:
     return i
 
 
+def mode_value(params: WishartParams, value):
+    """``value`` in the type that ``params.mode`` asks for: a float in float
+    mode, a ``Fraction`` in rational mode.  A value that is not finite, or a
+    float-mode value beyond the float range, raises ``OverflowError``."""
+    try:
+        # Fraction() refuses an infinite float (OverflowError) and NaN (ValueError)
+        value = Fraction(value)
+        return float(value) if params.mode == "float" else value
+    except (OverflowError, ValueError):
+        raise OverflowError(
+            "the value exceeds the float range; rational input "
+            "(--mode rational) gives it exactly"
+        ) from None
+
+
 def guard_order(route):
     """Shared entry of the routes to ``E[e_i(W)]``.
 
     Reads the order through :func:`numeric_order`, answers ``i = 0`` (one)
-    and ``i > p`` (zero) without calling the route, and returns a value whose
-    type follows ``params.mode``: a float in float mode, a ``Fraction`` in
-    rational mode.  A float-mode value beyond the float range raises
-    ``OverflowError``.
+    and ``i > p`` (zero) without calling the route, and returns the value
+    through :func:`mode_value`.
     """
 
     @functools.wraps(route)
     def guarded(params: WishartParams, i: int):
         i = numeric_order(params, i)
         value = route(params, i) if 1 <= i <= params.p else int(i == 0)
-        try:
-            return float(value) if params.mode == "float" else Fraction(value)
-        except OverflowError:
-            raise OverflowError(
-                "the value exceeds the float range; rational input "
-                "(--mode rational) gives it exactly"
-            ) from None
+        return mode_value(params, value)
 
     return guarded
 

@@ -140,7 +140,7 @@ def reference_mul(a: UmbralPolynomial, b: UmbralPolynomial, prune: bool = True) 
             key = (u, merged_powers(ia, ib))
             s = out.get(key, 0) + ca * cb
             if s == 0:
-                del out[key]
+                out.pop(key, None)
             else:
                 out[key] = s
     return UmbralPolynomial(out)

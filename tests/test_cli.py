@@ -354,6 +354,37 @@ class TestCompute:
         assert "exceeds the float range" in result.stderr
         assert "Traceback" not in result.stderr and "Warning" not in result.stderr
 
+    @pytest.mark.parametrize(
+        "argv, sigma, mean, order",
+        [
+            # the float sum of e_2 reaches inf - inf: it was reported as NaN
+            (["table", "--methods", "wick", "--n", "2", "--p", "2"], "1e200,0\n0,1e200\n", None, 2),
+            # 1e308 + 1e600 was reported as Infinity
+            (["compute", "--method", "wick", "--n", "1", "--p", "1"], "1e308\n", "1e300\n", 1),
+        ],
+    )
+    def test_wick_value_beyond_float_range_says_so(self, tmp_path, capsys, argv, sigma, mean, order):
+        (tmp_path / "s.csv").write_text(sigma)
+        argv = argv + ["--sigma", str(tmp_path / "s.csv"), "--i", f"0..{order}", "--no-timing"]
+        if mean:
+            (tmp_path / "m.csv").write_text(mean)
+            argv += ["--m", str(tmp_path / "m.csv")]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith(f"error: wick failed at i={order}: the value exceeds the float range")
+        assert "--mode rational" in err
+
+    def test_monte_carlo_sample_too_large_to_allocate(self, tmp_path, capsys):
+        # one sample at n = 10**15 needs petabytes: the allocation fails at once
+        sigma = tmp_path / "one.csv"
+        sigma.write_text("1\n")
+        argv = ["compute", "--method", "mc", "--n", str(10**15), "--p", "1", "--sigma", str(sigma)]
+        code = main(argv + ["--i", "1", "--samples", "2", "--no-timing"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err.startswith("error: mc failed at i=1: ") and err.count("\n") == 1
+
     def test_no_partial_output_file_on_error(self, tmp_path):
         out = tmp_path / "report.json"
         result = run_cli(

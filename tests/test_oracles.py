@@ -124,6 +124,15 @@ class TestWickExpectedEsf:
             for i in range(0, p + 1):
                 assert wick_expected_esf(params, i) == expected_esf_closed_form(params, i)
 
+    def test_float_value_beyond_float_range_raises(self):
+        # e_2 of diag(1e200, 1e200) sums inf - inf in floats, which used to be NaN
+        floating = WishartParams(2, 2, ((1e200, 0.0), (0.0, 1e200)))
+        with pytest.raises(OverflowError, match="float range"):
+            wick_expected_esf(floating, 2)
+        assert wick_expected_esf(floating, 1) == 4e200
+        exact = WishartParams(2, 2, ((10**200, 0), (0, 10**200)))
+        assert wick_expected_esf(exact, 2) == 2 * 10**400
+
     def test_full_covariance_stays_exact(self):
         # the pairing oracle needs no covariance square root, so a full
         # rational covariance is still exact
@@ -169,6 +178,14 @@ class TestWickTraceMoment:
             with pytest.raises(TypeError):
                 wick_trace_moment(params, [1, 1], [1, 1, 1], order)
         assert wick_trace_moment(params, [1, 1], [1, 1, 1], np.int64(1)) == 6
+
+    def test_float_value_beyond_float_range_raises(self):
+        # 1e300^2 overflows: the moment used to be returned as inf
+        params = WishartParams(1, 1, ((1e300,),), ((1e300,),))
+        with pytest.raises(OverflowError, match="float range"):
+            wick_trace_moment(params, [1.0], [1.0], 1)
+        exact = WishartParams(1, 1, ((10**300,),), ((10**300,),))
+        assert wick_trace_moment(exact, [1], [1], 1) == 10**300 + 10**600
 
     def test_weight_lengths_must_match_the_model(self):
         # a third row weight at p = 2 used to be dropped, a short list to fail on an index

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -234,6 +236,14 @@ class TestArithmetic:
         assert [type(c) for _, c in (x * 1.0).terms()] == [float]
         assert x.scale(1) is x and x.scale(Fraction(1)) is x
 
+    def test_exponents_are_read_as_integers(self):
+        (y,) = indeterminates("ny", 1)
+        assert y ** np.int64(3) == y**3
+        assert (y + 1).pow(np.int64(2)) == (y + 1).pow(2)
+        for k in (2.0, 1.5):
+            with pytest.raises(TypeError):
+                y**k
+
     def test_substitute_deltas_for_indeterminates(self):
         y = indeterminates("y", 2)
         d = deltas(2)
@@ -356,7 +366,10 @@ def mul_chain(base: UmbralPolynomial, k: int) -> UmbralPolynomial:
 
 
 class TestPackedProducts:
-    @given(mixed_polynomials(any_exponents), mixed_polynomials(any_exponents))
+    @given(
+        mixed_polynomials(any_exponents, coefficients=any_coefficients),
+        mixed_polynomials(any_exponents, coefficients=any_coefficients),
+    )
     @settings(max_examples=300, deadline=None)
     def test_mul_matches_tuple_merge_reference(self, a, b):
         got = a.mul(b)
@@ -421,6 +434,37 @@ class TestPackedProducts:
         for k in range(1, p + 2):
             power = power.mul(c1)
             assert len(power.terms()) == math.comb(p, k) * math.comb(n, k)
+
+
+class TestZeroCoefficients:
+    """No operation leaves a zero coefficient, so equality stays equality of
+    the term maps."""
+
+    tiny = 1e-200  # its square underflows to 0.0
+
+    def test_underflowed_product_leaves_no_term(self):
+        x, y = indeterminates("uf", 2)
+        product = (x * self.tiny).mul(y * self.tiny)
+        assert list(product.terms()) == []
+        assert product == UmbralPolynomial.zero()
+
+    def test_underflowed_scale_leaves_no_term(self):
+        (x,) = indeterminates("us", 1)
+        assert (x * self.tiny).scale(self.tiny) == UmbralPolynomial.zero()
+        assert list((x * self.tiny + 1).scale(self.tiny).terms()) == [(((), ()), self.tiny)]
+
+    def test_underflowed_evaluation_leaves_no_term(self):
+        (x,) = indeterminates("ue", 1)
+        g = Umbra(lambda k: self.tiny, name="tiny")
+        assert evaluate((g * x).scale(self.tiny)) == UmbralPolynomial.zero()
+        assert evaluate((g * x + g).scale(self.tiny) + x) == x
+
+    def test_power_does_not_grow_underflowed_terms(self):
+        (x,) = indeterminates("up", 1)
+        base = x * self.tiny + 1
+        # x^2 and x^3 underflow at every step; x and 1 survive
+        assert base.pow(3) == x * (3 * self.tiny) + 1
+        assert base.pow(3) == mul_chain(base, 3)
 
 
 class TestVariableLifetime:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from operator import mul
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,12 @@ def _mean_indeterminates(params):
 
 
 class TestCumulants:
+    def test_numpy_integer_order(self):
+        params = WishartParams.symbolic(2, 2)
+        got, want = trace_cumulant(params, np.int64(2)), trace_cumulant(params, 2)
+        assert got == want and str(got) == str(want)
+        assert {type(c) for _, c in got.terms()} == {int}
+
     def test_central_cumulant_printed_form(self):
         # with the mean at zero, symbolic()'s Sigma = diag(theta) gives the
         # latent-root form (k-1)! 2^(k-1) sum_j x_j^(2k) sum_l y_l^(2k) theta_l^k
