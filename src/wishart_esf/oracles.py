@@ -6,9 +6,10 @@ expands principal minors of ``X X^T`` into monomials in the matrix-normal
 entries and takes expectations term by term.  For a product of entries with
 means, the expectation is a sum over partial pairings — unmatched factors
 contribute their mean, matched pairs their covariance
-``cov(X[a,j], X[b,k]) = sigma[a][b]`` if ``j == k`` else 0.  This is exact
-rational arithmetic for rational parameters, since no square root of the
-covariance is ever formed.
+``cov(X[a,j], X[b,k]) = sigma[a][b]`` if ``j == k`` else 0.  The pairing
+walk reads these from the model's own entries, ``params.sigma`` and
+``params.m``.  This is exact rational arithmetic for rational parameters,
+since no square root of the covariance is ever formed.
 
 The Monte Carlo estimator runs in constant memory: its batch buffers share a
 fixed byte budget, and each sample's value is folded into exact sums of the
@@ -29,7 +30,7 @@ from typing import Sequence
 
 from . import linalg
 from .combinatorics import permutation_sign
-from .wishart import WishartParams, guard_order, mode_value, numeric_order
+from .wishart import WishartParams, guard_order, mode_value, numeric_order, read_entries
 
 __all__ = [
     "Estimate",
@@ -73,47 +74,27 @@ def _check_wick_size(params: WishartParams, i: int) -> None:
         raise ValueError("wick oracle limit")
 
 
-def _partial_pairing_expectation(labels: tuple, mean, cov) -> Fraction:
-    """Expectation of a product of jointly Gaussian factors with means.
-
-    ``labels`` name the factors; ``mean(label)`` and ``cov(label, label)``
-    supply first and second centered moments.  Recursive sum over the choices
-    for the first factor: unmatched (mean) or paired with a later one.
+def _pairing_expectation(labels: tuple, sigma, m) -> Fraction:
+    """Expectation of a product of matrix-normal entries ``X[a, j]``, one
+    ``(a, j)`` label per factor, with mean ``m[a][j]`` (zero when ``m`` is
+    ``None``) and ``cov(X[a, j], X[b, k]) = sigma[a][b]`` if ``j == k``, else 0.
+    Recursive sum over the choices for the first factor: unmatched (mean) or
+    paired with a later one.
     """
     if not labels:
         return 1
-    head, rest = labels[0], labels[1:]
+    (a, j), rest = labels[0], labels[1:]
     total = 0
-    mu = mean(head)
+    mu = 0 if m is None else m[a][j]
     if mu != 0:
-        total = mu * _partial_pairing_expectation(rest, mean, cov)
-    for idx, other in enumerate(rest):
-        c = cov(head, other)
+        total = mu * _pairing_expectation(rest, sigma, m)
+    for idx, (b, k) in enumerate(rest):
+        c = sigma[a][b] if j == k else 0
         if c == 0:
             continue
         remaining = rest[:idx] + rest[idx + 1 :]
-        total = total + c * _partial_pairing_expectation(remaining, mean, cov)
+        total = total + c * _pairing_expectation(remaining, sigma, m)
     return total
-
-
-def _entry_mean_cov(params: WishartParams):
-    m = params.m
-    sigma = params.sigma
-
-    def mean(label):
-        if m is None:
-            return 0
-        a, j = label
-        return m[a][j]
-
-    def cov(label_a, label_b):
-        a, j = label_a
-        b, k = label_b
-        if j != k:
-            return 0
-        return sigma[a][b]
-
-    return mean, cov
 
 
 @guard_order
@@ -124,7 +105,6 @@ def wick_expected_esf(params: WishartParams, i: int):
     Cost grows factorially; refuses instances with ``p * n * i > 12``.
     """
     _check_wick_size(params, i)
-    mean, cov = _entry_mean_cov(params)
     total = 0
     for subset in itertools.combinations(range(params.p), i):
         for perm in itertools.permutations(range(i)):
@@ -135,7 +115,7 @@ def wick_expected_esf(params: WishartParams, i: int):
                 for pos, j in enumerate(js):
                     labels.append((subset[pos], j))
                     labels.append((subset[perm[pos]], j))
-                value = _partial_pairing_expectation(tuple(labels), mean, cov)
+                value = _pairing_expectation(tuple(labels), params.sigma, params.m)
                 if value != 0:
                     total = total + sign * value
     return total
@@ -150,7 +130,7 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
     if len(y) != params.p or len(x) != params.n:
         raise ValueError("need p row weights y and n column weights x")
     _check_wick_size(params, i)
-    mean, cov = _entry_mean_cov(params)
+    y, x = read_entries((y, x))
     cells = [(a, j) for a in range(params.p) for j in range(params.n)]
     total = 0
     for picks in itertools.product(cells, repeat=i):
@@ -162,7 +142,7 @@ def wick_trace_moment(params: WishartParams, y: Sequence, x: Sequence, i: int):
             labels.append((a, j))
         if coeff == 0:
             continue
-        value = _partial_pairing_expectation(tuple(labels), mean, cov)
+        value = _pairing_expectation(tuple(labels), params.sigma, params.m)
         if value != 0:
             total = total + coeff * value
     return mode_value(params, total)

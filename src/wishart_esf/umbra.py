@@ -108,7 +108,7 @@ class Umbra(_Operand):
     ) -> None:
         self.ident = next(_IDS)
         self.name = name or f"a{self.ident}"
-        self.max_power = max_power
+        self.max_power = None if max_power is None else index(max_power)
         self._moment_fn = moment_fn
 
     def moment(self, k: int) -> Scalar:
@@ -148,6 +148,7 @@ def singletons(count: int = 1, prefix: str = "chi") -> list[Umbra]:
 def falling(n: int, name: str | None = None) -> Umbra:
     """Umbra whose k-th moment is the falling factorial ``n (n-1) ... (n-k+1)``,
     hard zero beyond ``n``."""
+    n = index(n)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return Umbra(
@@ -306,6 +307,9 @@ class UmbralPolynomial:
             return UmbralPolynomial({((), ((x, 1),)): 1})
         if isinstance(x, (int, Fraction)):
             return UmbralPolynomial.constant(x)
+        # numpy integers are read as Python ints, whose products do not wrap
+        if isinstance(x, numbers.Integral):
+            return UmbralPolynomial.constant(index(x))
         if isinstance(x, numbers.Real):
             return UmbralPolynomial.constant(float(x))
         raise TypeError(f"cannot interpret {x!r} as a polynomial")
@@ -348,6 +352,8 @@ class UmbralPolynomial:
         return (-self) + other
 
     def scale(self, c: Scalar) -> "UmbralPolynomial":
+        if isinstance(c, numbers.Integral):
+            c = index(c)
         if c == 0:
             return UmbralPolynomial.zero()
         if c == 1 and not isinstance(c, float):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import cached_property
 from operator import index, mul
@@ -54,7 +55,9 @@ class WishartParams:
     covariance entries and mean entries are indeterminates, for inspecting
     cumulants as printable polynomials.  A numeric covariance is read in its
     own frame; the latent-root form belongs to ``symbolic()``, whose
-    ``Sigma = diag(theta)`` with a free mean is the rotated frame.
+    ``Sigma = diag(theta)`` with a free mean is the rotated frame.  A numpy
+    integer entry makes a float model, which reads it once, as a Python int
+    (:func:`read_entries`).
     """
 
     def __init__(self, n: int, p: int, sigma, m=None) -> None:
@@ -67,6 +70,9 @@ class WishartParams:
         else:
             rational = linalg.is_rational_matrix(self.sigma + (self.m or ()))
             self.mode = "rational" if rational else "float"
+            if not rational:
+                self.sigma = read_entries(self.sigma)
+                self.m = read_entries(self.m) if self.m is not None else None
             self._validate()
 
     @classmethod
@@ -122,6 +128,13 @@ class WishartParams:
 
     def __repr__(self) -> str:
         return f"WishartParams(n={self.n}, p={self.p}, mode={self.mode})"
+
+
+def read_entries(rows) -> tuple:
+    """``rows`` as a tuple of tuples, every integral entry read through
+    ``operator.index``: a numpy integer becomes a Python int, whose products
+    do not wrap at 64 bits.  Other entries pass unchanged."""
+    return tuple(tuple(index(x) if isinstance(x, numbers.Integral) else x for x in r) for r in rows)
 
 
 # -- cumulants of the weighted squared trace ---------------------------------
@@ -256,13 +269,6 @@ def _esf_from_traces(sums: list[list[int]], i: int) -> list[int]:
     return e[i]
 
 
-def _integer_ratio(x) -> tuple[int, int]:
-    if hasattr(x, "as_integer_ratio"):
-        return x.as_integer_ratio()
-    # numpy integers: no as_integer_ratio, and 64-bit products would wrap
-    return int(x.numerator), int(x.denominator)
-
-
 def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[list[int]]]:
     """``(s, A, B)``: the integer matrices ``A = s Sigma`` and ``B = s M M^T``,
     read from each entry's integer ratio, so exact for float entries too.
@@ -270,8 +276,8 @@ def _integer_pencil(params: WishartParams) -> tuple[int, list[list[int]], list[l
     With ``d`` the common denominator of the mean and ``M_i = d M``, the upper
     triangle of ``B = (s / d^2) M_i M_i^T`` comes from row dot products of
     ``M_i``.  A central model reads only ``Sigma``; its ``B`` is zero."""
-    m = [[_integer_ratio(x) for x in row] for row in params.m or ()]
-    sigma = [[_integer_ratio(x) for x in row] for row in params.sigma]
+    m = [[x.as_integer_ratio() for x in row] for row in params.m or ()]
+    sigma = [[x.as_integer_ratio() for x in row] for row in params.sigma]
     # clear the mean's denominators first, so that M M^T is an integer product
     d = math.lcm(*(q for row in m for _, q in row))
     mi = [[u * (d // q) for u, q in row] for row in m]

@@ -16,7 +16,7 @@ from wishart_esf.oracles import (
     _batch_rows,
     _batched_esf,
     _ExactMoments,
-    _partial_pairing_expectation,
+    _pairing_expectation,
     mc_expected_esf,
     wick_expected_esf,
     wick_trace_moment,
@@ -34,16 +34,6 @@ from conftest import (
 )
 
 
-def _pairing_mean_cov(cov_matrix, means=None):
-    def mean(label):
-        return 0 if means is None else means[label]
-
-    def cov(a, b):
-        return cov_matrix[a][b]
-
-    return mean, cov
-
-
 class TestPairingBaseCases:
     def test_fourth_moment_formula(self, rng):
         # E[z1 z2 z3 z4] = s12 s34 + s13 s24 + s14 s23
@@ -54,8 +44,7 @@ class TestPairingBaseCases:
             cov[r][r] = abs(cov[r][r]) + 1
             for c in range(r):
                 cov[r][c] = cov[c][r]
-        mean, covf = _pairing_mean_cov(cov)
-        got = _partial_pairing_expectation((0, 1, 2, 3), mean, covf)
+        got = _pairing_expectation(((0, 0), (1, 0), (2, 0), (3, 0)), cov, None)
         want = cov[0][1] * cov[2][3] + cov[0][2] * cov[1][3] + cov[0][3] * cov[1][2]
         assert got == want
 
@@ -65,8 +54,7 @@ class TestPairingBaseCases:
             cov[r][r] = abs(cov[r][r]) + 1
             for c in range(r):
                 cov[r][c] = cov[c][r]
-        mean, covf = _pairing_mean_cov(cov)
-        got = _partial_pairing_expectation(tuple(range(6)), mean, covf)
+        got = _pairing_expectation(tuple((r, 0) for r in range(6)), cov, None)
         want = 0
         for matching in perfect_matchings(6):
             term = 1
@@ -78,14 +66,12 @@ class TestPairingBaseCases:
 
     def test_odd_centered_product_vanishes(self):
         cov = [[Fraction(1) if r == c else Fraction(1, 2) for c in range(3)] for r in range(3)]
-        mean, covf = _pairing_mean_cov(cov)
-        assert _partial_pairing_expectation((0, 1, 2), mean, covf) == 0
+        assert _pairing_expectation(((0, 0), (1, 0), (2, 0)), cov, None) == 0
 
     def test_mean_shift(self):
         # E[(m + z)^2] = m^2 + s2
         cov = [[Fraction(3)]]
-        mean, covf = _pairing_mean_cov(cov, means={0: Fraction(2)})
-        got = _partial_pairing_expectation((0, 0), mean, covf)
+        got = _pairing_expectation(((0, 0), (0, 0)), cov, [[Fraction(2)]])
         assert got == 4 + 3
 
 
@@ -186,6 +172,14 @@ class TestWickTraceMoment:
             wick_trace_moment(params, [1.0], [1.0], 1)
         exact = WishartParams(1, 1, ((10**300,),), ((10**300,),))
         assert wick_trace_moment(exact, [1], [1], 1) == 10**300 + 10**600
+
+    def test_numpy_integer_weights_do_not_wrap(self):
+        # 2^20 weights make products past 2^63, which used to wrap to 0
+        params = WishartParams(2, 1, [[1]])
+        want = wick_trace_moment(params, [2**20], [2**20, 1], 2)
+        assert want == 4384504911995367210602627956672115516975882436608
+        got = wick_trace_moment(params, [np.int64(2**20)], [np.int64(2**20), np.int64(1)], 2)
+        assert type(got) is Fraction and got == want
 
     def test_weight_lengths_must_match_the_model(self):
         # a third row weight at p = 2 used to be dropped, a short list to fail on an index

@@ -127,6 +127,14 @@ class TestSpecialUmbrae:
         f = falling(3)
         assert [f.moment(k) for k in range(5)] == [1, 3, 6, 6, 0]
 
+    def test_moment_bounds_are_read_as_integers(self):
+        # a numpy bound used to reach the packed layout, which needs int.bit_length
+        assert evaluate(falling(np.int64(2))._lift().pow(3)) == 0
+        assert evaluate(Umbra(lambda k: 1, max_power=np.int64(2))._lift().pow(3)) == 0
+        assert type(falling(np.int64(2)).max_power) is int
+        with pytest.raises(TypeError):
+            falling(2.0)
+
     def test_falling_matches_singleton_sums(self):
         chi = singletons(3)
         acc = UmbralPolynomial.zero()
@@ -243,6 +251,14 @@ class TestArithmetic:
         for k in (2.0, 1.5):
             with pytest.raises(TypeError):
                 y**k
+
+    def test_integer_scalars_are_read_as_python_ints(self):
+        # a numpy integer used to become a float in coerce and wrap at 64 bits in scale
+        (y,) = indeterminates("iy", 1)
+        assert [c for _, c in (y * np.int64(2**60 + 1)).terms()] == [2**60 + 1]
+        squared = (y * 1).scale(np.int64(2**40)).pow(2)
+        assert [c for _, c in squared.terms()] == [1208925819614629174706176]
+        assert all(type(c) is int for p in (y * np.int64(3), squared) for _, c in p.terms())
 
     def test_substitute_deltas_for_indeterminates(self):
         y = indeterminates("y", 2)

@@ -638,6 +638,13 @@ class TestIntegerPencil:
         want = float(big**3 + 3 * big**2 + big)
         assert expected_esf_umbral(params, 2) == want
         assert expected_esf_closed_form(params, 2) == want
+        assert wick_expected_esf(params, 2) == want
+
+    def test_float_models_read_numpy_integers_as_ints(self):
+        # every consumer used to meet the np.int64 entries themselves
+        params = WishartParams(2, 2, np.array([[2**40, 0], [0, 2**40]]), np.array([[1, 0], [0, 1]]))
+        assert params.mode == "float"
+        assert all(type(x) is int for a in (params.sigma, params.m) for row in a for x in row)
 
     def test_closed_form_builds_no_fraction_per_entry(self, rng, monkeypatch):
         # work guard: the pencil is integer, so the closed form makes one
@@ -760,17 +767,18 @@ class TestUmbralWork:
                 assert wishart._canonical_kernel(7, i, k) == math.factorial(i) * falling_factorial(7 - k, i - k)
                 assert len(calls) == 1, (i, k)
 
-    def test_central_pencil_reads_only_the_covariance(self, rng, monkeypatch):
-        params = WishartParams(6, 4, rational_full_spd(rng, 4))
-        want = wishart._integer_pencil(params)
+    def test_central_pencil_reads_only_the_covariance(self, rng):
+        sigma = rational_full_spd(rng, 4)
+        want = wishart._integer_pencil(WishartParams(6, 4, sigma))
         read = []
-        ratio = wishart._integer_ratio
 
-        def counting(x):
-            read.append(x)
-            return ratio(x)
+        class CountingFraction(Fraction):
+            def as_integer_ratio(self):
+                read.append(self)
+                return super().as_integer_ratio()
 
-        monkeypatch.setattr(wishart, "_integer_ratio", counting)
+        params = WishartParams(6, 4, [[CountingFraction(x) for x in row] for row in sigma])
+        read.clear()
         assert wishart._integer_pencil(params) == want
         assert len(read) == 16
 
